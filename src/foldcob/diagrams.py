@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .reeb import ReebGraph, fiber_profile
+from .reeb import ReebGraph, _valid_sweep
 
 
 class BoundaryMode(Enum):
@@ -182,18 +182,13 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
     The function misses one point of the circle, so the diagram starts
     and ends with an empty arc.
     """
-    prof = fiber_profile(g)
-    if not prof.events:
-        return CircleFiberDiagram(BoundaryMode.CLOSED, (RegularArc(0),))
-    byid = {v.id: v for v in g.vertices}
-    spans = [tuple(sorted((byid[a].value, byid[b].value))) for a, b in g.edges]
+    s = _valid_sweep(g)
     cells = [RegularArc(0)]
-    for i, ev in enumerate(prof.events):
-        cells.append(DiagramEvent(ev.fiber_class, ev.components))
-        if i + 1 < len(prof.events):
-            level = (ev.value + prof.events[i + 1].value) / 2
-            circles = sum(1 for lo, hi in spans if lo < level < hi)
-            cells.append(RegularArc(circles))
+    for i, (_, cls, _, _, components) in enumerate(s.events()):
+        if i:
+            # the regular level between two critical values
+            cells.append(RegularArc(s.below[i]))
+        cells.append(DiagramEvent(cls, components))
     d = CircleFiberDiagram(BoundaryMode.CLOSED, tuple(cells))
     _require_valid(d)
     return d

@@ -8,10 +8,13 @@ cross-cap level; they may occur only when ``orientable`` is False.
 
 from __future__ import annotations
 
+import math
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 
 class VertexKind(Enum):
@@ -30,16 +33,6 @@ class Category(Enum):
     @property
     def oriented(self) -> bool:
         return self in (Category.ORIENTED, Category.SIMPLE_ORIENTED)
-
-
-# moves admissible in each category, recorded as metadata; the reduction
-# below only uses their multiset-level consequences
-ADMISSIBLE_MOVES = {
-    Category.ORIENTED: ("a", "b", "c", "d", "e", "f", "g"),
-    Category.UNORIENTED: ("a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k"),
-    Category.SIMPLE_ORIENTED: ("a", "b", "c", "d"),
-    Category.SIMPLE_UNORIENTED: ("a", "b", "c", "d", "h", "i"),
-}
 
 
 class ReebError(ValueError):
@@ -72,71 +65,22 @@ class ReebGraph:
     def count(self, kind: VertexKind) -> int:
         return sum(1 for v in self.vertices if v.kind is kind)
 
+    @cached_property
+    def _neighbors(self) -> dict:
+        """Vertex id -> the vertices at the other ends of its edges."""
+        byid = {v.id: v for v in self.vertices}
+        out = {vid: [] for vid in byid}
+        for a, b in self.edges:
+            out[a].append(byid[b])
+            out[b].append(byid[a])
+        return out
+
 
 def make_graph(orientable, vertices, edges) -> ReebGraph:
     vs = tuple(Vertex(i, Fraction(val), VertexKind(kind))
                for i, val, kind in vertices)
     es = tuple((a, b) for a, b in edges)
     return ReebGraph(orientable, vs, es)
-
-
-def validate_reeb(g: ReebGraph) -> list[str]:
-    out = []
-    ids = [v.id for v in g.vertices]
-    if len(set(ids)) != len(ids):
-        out.append("duplicate vertex ids")
-        return out
-    byid = {v.id: v for v in g.vertices}
-    values = [v.value for v in g.vertices]
-    if len(set(values)) != len(values):
-        out.append("vertex values not distinct")
-    deg = {v.id: 0 for v in g.vertices}
-    for a, b in g.edges:
-        if a not in byid or b not in byid:
-            out.append(f"edge ({a},{b}) references unknown vertex")
-            continue
-        if byid[a].value == byid[b].value:
-            out.append(f"edge ({a},{b}) joins equal values")
-        deg[a] += 1
-        deg[b] += 1
-    if any("unknown vertex" in s for s in out):
-        return out
-    expected = {VertexKind.MIN: 1, VertexKind.MAX: 1,
-                VertexKind.SADDLE: 3, VertexKind.DEG2: 2}
-    for v in g.vertices:
-        if deg[v.id] != expected[v.kind]:
-            out.append(f"vertex {v.id}: {v.kind.value} has degree {deg[v.id]}")
-    for v in g.vertices:
-        if deg[v.id] != expected[v.kind]:
-            continue
-        up = sum(1 for a, b in g.edges if v.id in (a, b)
-                 and byid[b if a == v.id else a].value > v.value)
-        down = deg[v.id] - up
-        if v.kind is VertexKind.MIN and up != 1:
-            out.append(f"vertex {v.id}: MIN must have its neighbor above")
-        if v.kind is VertexKind.MAX and down != 1:
-            out.append(f"vertex {v.id}: MAX must have its neighbor below")
-        if v.kind is VertexKind.SADDLE and up not in (1, 2):
-            out.append(f"vertex {v.id}: saddle needs edges on both sides")
-        if v.kind is VertexKind.DEG2 and (up != 1 or down != 1):
-            out.append(f"vertex {v.id}: DEG2 needs one edge on each side")
-    if g.orientable and any(v.kind is VertexKind.DEG2 for v in g.vertices):
-        out.append("DEG2 vertex in an orientable graph")
-    return out
-
-
-def _require_valid(g: ReebGraph):
-    bad = validate_reeb(g)
-    if bad:
-        raise ReebError(bad[0])
-
-
-def saddle_sign(g: ReebGraph, v: Vertex) -> int:
-    """+1 for a saddle with two upper edges, -1 with two lower."""
-    byid = {w.id: w for w in g.vertices}
-    up = sum(1 for a, b in g.edges if v.id in (a, b)
-             and byid[b if a == v.id else a].value > v.value)
-    return 1 if up == 2 else -1
 
 
 @dataclass(frozen=True)
@@ -161,6 +105,152 @@ _EVENT_CLASS = {VertexKind.MIN: "I0", VertexKind.MAX: "I0",
                 VertexKind.SADDLE: "I1", VertexKind.DEG2: "I2"}
 
 
+_DEGREE = {VertexKind.MIN: 1, VertexKind.MAX: 1,
+           VertexKind.SADDLE: 3, VertexKind.DEG2: 2}
+
+
+def _value_key(x: Fraction):
+    """Sort key that orders rationals exactly, mostly without Fraction
+    arithmetic: a correctly rounded float never reverses an order, so
+    the exact values are compared only when their floats tie."""
+    try:
+        return x.numerator / x.denominator, x
+    except OverflowError:
+        return (math.inf if x > 0 else -math.inf), x
+
+
+class _Sweep:
+    """One level sweep of a graph, read by every surface computation.
+
+    ``problems`` lists what makes the graph invalid, in the order
+    ``validate_reeb`` reports it.  When there are none, ``order`` holds
+    the vertices by increasing value and, position by position, ``up``
+    and ``down`` count their edges to higher and to lower vertices and
+    ``below`` counts the edges crossing the regular level just below the
+    vertex.  An edge counts as up at its lower end and as down at its
+    upper end, so the edges crossing a regular level are the ups minus
+    the downs of the vertices under it: one sort and one pass over the
+    edges give every count, in O((V+E) log V).
+    """
+
+    def __init__(self, g: ReebGraph):
+        self.graph = g
+        self.problems = problems = []
+        self.order, self.up, self.down, self.below = [], [], [], []
+        vs = g.vertices
+        index = {v.id: i for i, v in enumerate(vs)}
+        if len(index) != len(vs):
+            problems.append("duplicate vertex ids")
+            return
+        keys = [_value_key(v.value) for v in vs]
+        by_value = sorted(range(len(vs)), key=keys.__getitem__)
+        # ranks in value order; equal values share a rank
+        rank = [0] * len(vs)
+        r = 0
+        for prev, i in zip(by_value, by_value[1:]):
+            if keys[i] != keys[prev]:
+                r += 1
+            rank[i] = r
+        if vs and r + 1 != len(vs):
+            problems.append("vertex values not distinct")
+        deg = [0] * len(vs)
+        up = [0] * len(vs)
+        unknown = False
+        for a, b in g.edges:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                problems.append(f"edge ({a},{b}) references unknown vertex")
+                unknown = True
+                continue
+            if rank[i] == rank[j]:
+                problems.append(f"edge ({a},{b}) joins equal values")
+            elif rank[i] < rank[j]:
+                up[i] += 1
+            else:
+                up[j] += 1
+            deg[i] += 1
+            deg[j] += 1
+        if unknown:
+            return
+        sides = []
+        for v, d, u in zip(vs, deg, up):
+            kind = v.kind
+            if d != _DEGREE[kind]:
+                problems.append(f"vertex {v.id}: {kind.value} has degree {d}")
+            elif kind is VertexKind.MIN and u != 1:
+                sides.append(f"vertex {v.id}: MIN must have its neighbor above")
+            elif kind is VertexKind.MAX and d - u != 1:
+                sides.append(f"vertex {v.id}: MAX must have its neighbor below")
+            elif kind is VertexKind.SADDLE and u not in (1, 2):
+                sides.append(f"vertex {v.id}: saddle needs edges on both sides")
+            elif kind is VertexKind.DEG2 and (u != 1 or d - u != 1):
+                sides.append(f"vertex {v.id}: DEG2 needs one edge on each side")
+        # every degree problem comes before every side problem
+        problems += sides
+        if g.orientable and any(v.kind is VertexKind.DEG2 for v in vs):
+            problems.append("DEG2 vertex in an orientable graph")
+        if problems:
+            return
+        crossing = 0
+        for i in by_value:
+            self.order.append(vs[i])
+            self.up.append(up[i])
+            self.down.append(deg[i] - up[i])
+            self.below.append(crossing)
+            crossing += 2 * up[i] - deg[i]
+
+    def saddle_signs(self):
+        """+1 or -1 for each saddle, in value order."""
+        return [1 if u == 2 else -1
+                for v, u in zip(self.order, self.up) if v.kind is VertexKind.SADDLE]
+
+    def events(self):
+        """(vertex, class, parity, sign, components) in value order."""
+        for v, down, below in zip(self.order, self.down, self.below):
+            # the vertex's own component plus every edge through its level
+            components = 1 + below - down
+            cls = _EVENT_CLASS[v.kind]
+            # an I0/I1 event flips regular parity; below-count parity decides
+            sign = None if cls == "I2" else 1 if below % 2 == 0 else -1
+            yield v, cls, "o" if components % 2 == 1 else "e", sign, components
+
+    def profile(self) -> FiberProfile:
+        events = []
+        counts = {"I0_o": 0, "I0_e": 0, "I1_o": 0, "I1_e": 0, "I2": 0}
+        for v, cls, parity, sign, components in self.events():
+            if sign is None:
+                counts["I2"] += 1
+            else:
+                counts[f"{cls}_{parity}"] += sign
+            events.append(FiberEvent(v.value, cls, parity, sign, components))
+        return FiberProfile(tuple(events), counts)
+
+
+def _valid_sweep(g: ReebGraph) -> _Sweep:
+    """The sweep of a valid graph; ReebError names its first problem."""
+    s = _Sweep(g)
+    if s.problems:
+        raise ReebError(s.problems[0])
+    return s
+
+
+def _identity(holds: bool, name: str):
+    """Check an identity the theory guarantees; unlike ``assert`` it also
+    runs under ``python -O``."""
+    if not holds:
+        raise AssertionError(f"{name} identity failed")
+
+
+def validate_reeb(g: ReebGraph) -> list[str]:
+    return _Sweep(g).problems
+
+
+def saddle_sign(g: ReebGraph, v: Vertex) -> int:
+    """+1 for a saddle with two upper edges, -1 with two lower."""
+    up = sum(1 for w in g._neighbors[v.id] if w.value > v.value)
+    return 1 if up == 2 else -1
+
+
 def fiber_profile(g: ReebGraph) -> FiberProfile:
     """One singular-fiber event per vertex, with signed totals.
 
@@ -169,26 +259,7 @@ def fiber_profile(g: ReebGraph) -> FiberProfile:
     parity-flipping event is +1 when the regular-level component parity
     goes even to odd with increasing value.
     """
-    _require_valid(g)
-    byid = {v.id: v for v in g.vertices}
-    spans = [tuple(sorted((byid[a].value, byid[b].value))) for a, b in g.edges]
-    events = []
-    counts = {"I0_o": 0, "I0_e": 0, "I1_o": 0, "I1_e": 0, "I2": 0}
-    for v in sorted(g.vertices, key=lambda w: w.value):
-        strict = sum(1 for lo, hi in spans if lo < v.value < hi)
-        below = sum(1 for lo, hi in spans if lo < v.value <= hi)
-        components = 1 + strict
-        parity = "o" if components % 2 == 1 else "e"
-        cls = _EVENT_CLASS[v.kind]
-        if cls == "I2":
-            sign = None
-            counts["I2"] += 1
-        else:
-            # the event flips regular parity; below-count parity decides
-            sign = 1 if below % 2 == 0 else -1
-            counts[f"{cls}_{parity}"] += sign
-        events.append(FiberEvent(v.value, cls, parity, sign, components))
-    return FiberProfile(tuple(events), counts)
+    return _valid_sweep(g).profile()
 
 
 @dataclass(frozen=True)
@@ -199,17 +270,19 @@ class InvariantVector:
 
 
 def invariants(g: ReebGraph, category: Category) -> InvariantVector:
-    _require_valid(g)
+    return _invariants(_valid_sweep(g), category)
+
+
+def _invariants(s: _Sweep, category: Category) -> InvariantVector:
+    g = s.graph
     if category.oriented and not g.orientable:
         raise CategoryError("oriented category requires an orientable graph")
     z = g.count(VertexKind.MAX) - g.count(VertexKind.MIN)
     w = 0 if category.oriented else g.count(VertexKind.DEG2) % 2
-    sig = sum(saddle_sign(g, v) for v in g.vertices
-              if v.kind is VertexKind.SADDLE)
-    assert z == sig, "strand-count identity failed"
-    prof = fiber_profile(g)
-    assert z == -prof.count("I0_o") + prof.count("I0_e"), \
-        "signed minimum/maximum identity failed"
+    _identity(z == sum(s.saddle_signs()), "strand-count")
+    extrema = sum(sign if parity == "e" else -sign
+                  for _, cls, parity, sign, _ in s.events() if cls == "I0")
+    _identity(z == extrema, "signed minimum/maximum")
     return InvariantVector(z, w, category)
 
 
@@ -222,17 +295,20 @@ class PieceMultiset:
 
 
 def decompose(g: ReebGraph) -> PieceMultiset:
-    _require_valid(g)
-    n2 = sum(1 for v in g.vertices
-             if v.kind is VertexKind.SADDLE and saddle_sign(g, v) == 1)
-    n3 = g.count(VertexKind.SADDLE) - n2
+    return _decompose(_valid_sweep(g))
+
+
+def _decompose(s: _Sweep) -> PieceMultiset:
+    g = s.graph
+    signs = s.saddle_signs()
+    n2 = signs.count(1)
     return PieceMultiset(
         n1=g.count(VertexKind.MIN) + g.count(VertexKind.MAX),
-        n2=n2, n3=n3, n4=g.count(VertexKind.DEG2))
+        n2=n2, n3=len(signs) - n2, n4=g.count(VertexKind.DEG2))
 
 
 def euler_characteristic(g: ReebGraph) -> int:
-    _require_valid(g)
+    _valid_sweep(g)
     return (g.count(VertexKind.MIN) + g.count(VertexKind.MAX)
             - g.count(VertexKind.SADDLE) - g.count(VertexKind.DEG2))
 
@@ -282,8 +358,9 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
     pieces (unoriented categories only), DELETE_SPHERE drops a capped
     star.  The surviving data is exactly the invariant vector.
     """
-    inv = invariants(g, category)
-    pieces = decompose(g)
+    s = _valid_sweep(g)
+    inv = _invariants(s, category)
+    pieces = _decompose(s)
     pairs = min(pieces.n2, pieces.n3)
     rp2 = pieces.n4 // 2
     if rp2 and category.oriented:
@@ -297,9 +374,9 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
         trace.append(("CANCEL_RP2", rp2))
     if spheres:
         trace.append(("DELETE_SPHERE", spheres))
-    assert inv.z == pieces.n2 - pieces.n3
+    _identity(inv.z == pieces.n2 - pieces.n3, "z = n2 - n3")
     if not category.oriented:
-        assert inv.w == pieces.n4 % 2
+        _identity(inv.w == pieces.n4 % 2, "w = n4 mod 2")
     return ReductionResult(inv, tuple(trace),
                            canonical_graph(inv.z, inv.w, category))
 
@@ -312,8 +389,8 @@ def cobordant(g1: ReebGraph, g2: ReebGraph, category: Category) -> bool:
 
 def disjoint_union(g1: ReebGraph, g2: ReebGraph) -> ReebGraph:
     """Union with ids relabeled and values re-ranked (order-preserving)."""
-    _require_valid(g1)
-    _require_valid(g2)
+    _valid_sweep(g1)
+    _valid_sweep(g2)
     tagged = ([(v.value, 0, v) for v in g1.vertices]
               + [(v.value, 1, v) for v in g2.vertices])
     tagged.sort(key=lambda t: (t[0], t[1]))
@@ -396,7 +473,7 @@ def random_reeb(seed: int, size: int, orientable: bool) -> ReebGraph:
         below = open_circles.pop()
         edges.append((below, add("MAX")))
     g = make_graph(orientable, vertices, edges)
-    _require_valid(g)
+    _valid_sweep(g)
     return g
 
 
@@ -437,17 +514,18 @@ def graph_from_json(doc) -> ReebGraph:
     if not isinstance(doc, dict):
         raise ReebError("graph document must be a JSON object")
     try:
-        orientable = bool(doc["orientable"])
-        vertices = tuple(Vertex(v["id"], _parse_frac(v["value"]),
+        orientable = doc["orientable"]
+        if not isinstance(orientable, bool):
+            raise ValueError("orientable must be true or false, not "
+                             f"{type(orientable).__name__}")
+        vertices = tuple(Vertex(_parse_id(v["id"]), _parse_frac(v["value"]),
                                 VertexKind(v["kind"]))
                          for v in doc["vertices"])
-        edges = tuple((a, b) for a, b in doc["edges"])
+        edges = tuple((_parse_id(a), _parse_id(b)) for a, b in doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ReebError(f"malformed graph document: {exc}") from exc
     g = ReebGraph(orientable, vertices, edges)
-    bad = validate_reeb(g)
-    if bad:
-        raise ReebError(bad[0])
+    _valid_sweep(g)
     return g
 
 
@@ -455,9 +533,30 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _parse_id(x):
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError("vertex id must be an integer or a string, not "
+                         f"{type(x).__name__}")
+    return x
+
+
+# Fraction expands a decimal exponent into a power of ten, so "1e999999999"
+# would take unbounded time and memory; value strings are bounded first.
+_MAX_VALUE_CHARS = 1000
+_MAX_VALUE_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str):
+        if len(s) > _MAX_VALUE_CHARS:
+            raise ValueError(f"rational value longer than {_MAX_VALUE_CHARS} "
+                             "characters")
+        exp = _EXPONENT.search(s)
+        if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
+            raise ValueError("rational value exponent beyond "
+                             f"+-{_MAX_VALUE_EXPONENT}")
         return Fraction(s)
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"bad rational value {s!r}")

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import foldcob
 from foldcob.cli import main
 from foldcob.diagrams import diagram_to_json, from_reeb
-from foldcob.reeb import graph_to_json, sphere_graph, torus_graph
+from foldcob.reeb import (graph_to_json, projective_plane_graph, sphere_graph,
+                          torus_graph)
 
 
 def run(capsys, *argv):
@@ -118,3 +124,37 @@ def test_selftest_runs_clean(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+def _rp2_doc_with(edit):
+    doc = graph_to_json(projective_plane_graph())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, needle", [
+    # a string "false" must not pass as a boolean (bool("false") is True)
+    (_rp2_doc_with(lambda d: d.update(orientable="false")),
+     "orientable must be"),
+    (_rp2_doc_with(lambda d: d["vertices"][0].update(value=True)),
+     "bad rational value"),
+    (_rp2_doc_with(lambda d: d["vertices"][0].update(id=[0])),
+     "vertex id must be"),
+    (_rp2_doc_with(lambda d: d.update(edges=[[[0], 1], [1, 2]])),
+     "vertex id must be"),
+])
+def test_mistyped_graph_exits_1_without_traceback(tmp_path, doc, needle):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(foldcob.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "foldcob.cli", "invariants", "--in", str(path),
+         "--category", "unoriented"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert needle in proc.stderr

@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcob.reeb import (Category, CategoryError, ReebError, VertexKind,
-                          canonical_graph, cobordant, decompose,
+from foldcob import reeb
+from foldcob.reeb import (Category, CategoryError, PieceMultiset, ReebError,
+                          VertexKind, canonical_graph, cobordant, decompose,
                           disjoint_union, euler_characteristic, fiber_profile,
                           graph_from_json, graph_to_json, invariants,
                           klein_bottle_graph, make_graph, negate,
@@ -197,3 +199,53 @@ def test_values_are_exact_rationals():
                           (1, Fraction(2, 3), "MAX")], [(0, 1)])
     assert not validate_reeb(g)
     assert graph_to_json(g)["vertices"][0]["value"] == "1/3"
+
+
+def _one_saddle_two_max():
+    return make_graph(True,
+                      [(0, 0, "MIN"), (1, 1, "SADDLE"), (2, 2, "MAX"),
+                       (3, 3, "MAX")],
+                      [(0, 1), (1, 2), (1, 3)])
+
+
+def test_invariant_identities_fire_on_inconsistent_counts():
+    g = _one_saddle_two_max()
+    s = reeb._Sweep(g)
+    s.up[1] = 1          # the saddle now reads as having two lower edges
+    with pytest.raises(AssertionError, match="strand-count"):
+        reeb._invariants(s, Category.ORIENTED)
+    s = reeb._Sweep(g)
+    s.down[3] = 0        # the top maximum's fiber gains a component
+    with pytest.raises(AssertionError, match="minimum/maximum"):
+        reeb._invariants(s, Category.ORIENTED)
+
+
+def test_reduction_identities_fire_on_inconsistent_counts(monkeypatch):
+    g = _one_saddle_two_max()
+    monkeypatch.setattr(reeb, "_decompose",
+                        lambda s: PieceMultiset(n1=3, n2=0, n3=1, n4=0))
+    with pytest.raises(AssertionError, match="z = n2 - n3"):
+        reduce_to_normal_form(g, Category.ORIENTED)
+    monkeypatch.setattr(reeb, "_decompose",
+                        lambda s: PieceMultiset(n1=3, n2=1, n3=0, n4=1))
+    with pytest.raises(AssertionError, match="w = n4 mod 2"):
+        reduce_to_normal_form(g, Category.UNORIENTED)
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "-1E+999999999",
+                                   "1e-999999999", "1e1_000_000_000",
+                                   "7" * 5000])
+def test_value_strings_are_bounded(value):
+    doc = graph_to_json(sphere_graph())
+    doc["vertices"][0]["value"] = value
+    start = time.perf_counter()
+    with pytest.raises(ReebError):
+        graph_from_json(doc)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_value_strings_within_the_bound_parse():
+    doc = graph_to_json(sphere_graph())
+    doc["vertices"][0]["value"] = "-1.5e1000"
+    g = graph_from_json(doc)
+    assert min(v.value for v in g.vertices) == -15 * Fraction(10) ** 999
