@@ -14,12 +14,11 @@ from . import selftest
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, hypercohomology, suspension_map)
 from .complexes import (ComplexError, Direction, RingTag, homology)
-from .diagrams import (DiagramError, cusp_count_boundary, cusp_count_closed,
+from .diagrams import (cusp_count_boundary, cusp_count_closed,
                        diagram_from_json, BoundaryMode)
 from .intmat import IntMatrix
-from .reeb import (Category, CategoryError, ReebError, graph_from_json,
-                   graph_to_json, invariants, reduce_to_normal_form,
-                   cobordant)
+from .reeb import (Category, graph_from_json, graph_to_json, invariants,
+                   reduce_to_normal_form, cobordant)
 
 
 def _emit(doc) -> int:
@@ -37,7 +36,7 @@ def _load_json(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise DiagramError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _cmd_catalog(args) -> int:
@@ -219,8 +218,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ReebError, DiagramError, ComplexError, CategoryError,
-            ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

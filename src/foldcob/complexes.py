@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .intmat import (IntMatrix, cokernel_is_trivial, diagonal, from_columns,
-                     kernel_basis, smith_normal_form, snf_with_inverses, solve)
+                     snf_with_inverses)
 
 
 class RingTag(Enum):
@@ -196,9 +196,10 @@ class AbelianGroupPresentation:
     free_rank: int
     torsion: tuple[int, ...]
     basis_cycles: tuple[tuple[int, ...], ...]
-    # solving data: cycle lattice basis and the coordinate change of its SNF
-    _cycle_basis: IntMatrix
-    _coord_map: IntMatrix          # maps cycle-lattice coords to SNF coords
+    # coordinates: a lifted cycle (see _lift) goes to the cycle lattice by
+    # _to_cycle and on to the SNF coordinates of the group by _coord_map
+    _to_cycle: IntMatrix
+    _coord_map: IntMatrix
     _positions: tuple[tuple[int, int], ...]  # (row in coord space, modulus)
 
     @property
@@ -214,9 +215,35 @@ def _check_degree(cx: MixedComplex, deg: int):
         raise ComplexError(f"degree {deg} out of range 0..{cx.top_degree}")
 
 
+def _lift(cx: MixedComplex, deg: int, x):
+    """x followed by y with d_out x + 2y = 0 on the torsion targets.
+
+    This is the unique preimage of x in the kernel of [d_out | relations];
+    None when x is not a cycle, that is when d_out x has a nonzero free
+    entry or an odd torsion entry.
+    """
+    out = cx.out_diff(deg)
+    if out is None:
+        return tuple(x)
+    d_out, tgt = out
+    y = []
+    for g, e in zip(cx.generators[tgt], d_out.apply(x)):
+        if g.ring is RingTag.TWO_TORSION and e % 2 == 0:
+            y.append(-e // 2)
+        elif e != 0:
+            return None
+    return tuple(x) + tuple(y)
+
+
 @functools.lru_cache(maxsize=None)
 def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
-    """Homology (or cohomology, per direction) at the given degree."""
+    """Homology (or cohomology, per direction) at the given degree.
+
+    Two Smith reductions: one of [d_out | relations], whose kernel columns
+    of v are the cycle lattice and whose matching rows of v^-1 give the
+    coordinates of any cycle in it, and one of the boundaries written in
+    those coordinates.
+    """
     _check_degree(cx, deg)
     n = cx.n(deg)
     out = cx.out_diff(deg)
@@ -225,21 +252,25 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     else:
         d_out, tgt = out
         stacked = d_out.hstack(cx.relations(tgt))
-    full_kernel = kernel_basis(stacked)
-    # project away the relation coordinates; this is injective on the kernel
-    k_basis = full_kernel.submatrix(range(n), range(full_kernel.cols))
+    _, s, v, _, vinv = snf_with_inverses(stacked)
+    diag = diagonal(s)
+    ker = [j for j in range(stacked.cols) if j >= len(diag) or diag[j] == 0]
+    # u*m*v = s makes every other coordinate of a kernel vector vanish, and
+    # dropping the relation rows is injective on the kernel
+    k_basis = v.submatrix(range(n), ker)
+    to_cycle = vinv.submatrix(ker, range(stacked.cols))
     inn = cx.in_diff(deg)
     b = cx.relations(deg)
     if inn is not None:
         b = inn[0].hstack(b)
-    y = solve(k_basis, b)
-    if y is None:
+    lifts = [_lift(cx, deg, col) for col in b.columns()]
+    if None in lifts:
         raise ComplexError("image does not lie in the cycle lattice")
+    y = to_cycle.mul(from_columns(lifts, stacked.cols))
     u2, s2, _, u2inv, _ = snf_with_inverses(y)
     diag = diagonal(s2)
-    k = k_basis.cols
     free_pos, tors_pos = [], []
-    for i in range(k):
+    for i in range(len(ker)):
         d = diag[i] if i < len(diag) else 0
         if d == 0:
             free_pos.append((i, 0))
@@ -252,7 +283,7 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
         basis_cycles=cycles,
-        _cycle_basis=k_basis,
+        _to_cycle=to_cycle,
         _coord_map=u2,
         _positions=positions)
 
@@ -261,20 +292,19 @@ def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     """Coordinates of a cycle's class in the homology basis.
 
     Free coordinates are exact integers; torsion coordinates are
-    reduced modulo their coefficient.  Raises NotACycleError if the
-    vector is not a cycle of the complex.
+    reduced modulo their coefficient.  Raises ComplexError if the vector
+    does not have one entry per generator of the degree and
+    NotACycleError if it is not a cycle of the complex.
     """
     pres = homology(cx, deg)
-    vec = from_columns([list(cycle)], cx.n(deg))
-    y = solve(pres._cycle_basis, vec)
-    if y is None:
+    if len(cycle) != cx.n(deg):
+        raise ComplexError(f"vector has {len(cycle)} entries, degree {deg} "
+                           f"has {cx.n(deg)} generators")
+    lifted = _lift(cx, deg, cycle)
+    if lifted is None:
         raise NotACycleError("vector is not a cycle at this degree")
-    u = pres._coord_map.mul(y)
-    coords = []
-    for i, d in pres._positions:
-        x = u.entries[i][0]
-        coords.append(x if d == 0 else x % d)
-    return tuple(coords)
+    u = pres._coord_map.apply(pres._to_cycle.apply(lifted))
+    return tuple(u[i] if d == 0 else u[i] % d for i, d in pres._positions)
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,12 @@ def diagram_to_json(d: CircleFiberDiagram) -> dict:
     return {"mode": d.mode.value, "cells": cells}
 
 
+def _json_int(x, field):
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{field} must be an integer, not {type(x).__name__}")
+    return x
+
+
 def diagram_from_json(doc) -> CircleFiberDiagram:
     if not isinstance(doc, dict):
         raise DiagramError("diagram document must be a JSON object")
@@ -259,13 +265,19 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
         cells = []
         for cell in doc["cells"]:
             if "arc" in cell:
-                cells.append(RegularArc(int(cell["arc"]["circles"]),
-                                        int(cell["arc"].get("arcs", 0))))
+                arc = cell["arc"]
+                cells.append(RegularArc(_json_int(arc["circles"], "circles"),
+                                        _json_int(arc.get("arcs", 0), "arcs")))
             elif "event" in cell:
-                cells.append(DiagramEvent(cell["event"]["class"],
-                                          int(cell["event"]["components"])))
+                event = cell["event"]
+                if not isinstance(event["class"], str):
+                    raise ValueError("event class must be a string, not "
+                                     f"{type(event['class']).__name__}")
+                cells.append(DiagramEvent(
+                    event["class"],
+                    _json_int(event["components"], "components")))
             else:
-                raise ValueError(f"cell {cell!r} is neither arc nor event")
+                raise ValueError(f"cell {len(cells)} is neither arc nor event")
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from exc
     d = CircleFiberDiagram(mode, tuple(cells))

@@ -260,51 +260,6 @@ def diagonal(s: IntMatrix):
     return [s.entries[i][i] for i in range(min(s.rows, s.cols))]
 
 
-def kernel_basis(m: IntMatrix) -> IntMatrix:
-    """A lattice basis of {x : m x = 0}, as matrix columns."""
-    _, s, v = smith_normal_form(m)
-    diag = diagonal(s)
-    idx = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return m_cols(v, idx)
-
-
-def m_cols(m: IntMatrix, idx):
-    return m.submatrix(range(m.rows), idx)
-
-
-def solve(m: IntMatrix, b: IntMatrix):
-    """Solve m x = b over the integers column by column; None if unsolvable."""
-    if b.cols == 0:
-        return IntMatrix.zero(m.cols, 0)
-    u, s, v, _, _ = snf_with_inverses(m)
-    diag = diagonal(s)
-    w = u.mul(b)
-    sol_cols = []
-    for j in range(b.cols):
-        z = [0] * m.cols
-        ok = True
-        for i in range(m.rows):
-            wi = w.entries[i][j]
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if wi != 0:
-                    ok = False
-                    break
-            else:
-                if wi % d != 0:
-                    ok = False
-                    break
-                if i < m.cols:
-                    z[i] = wi // d
-        if not ok:
-            return None
-        sol_cols.append(from_columns([z], m.cols))
-    x = sol_cols[0]
-    for extra in sol_cols[1:]:
-        x = x.hstack(extra)
-    return v.mul(x)
-
-
 def cokernel_is_trivial(m: IntMatrix) -> bool:
     """True iff Z^rows / im(m) = 0."""
     if m.rows == 0:

@@ -559,4 +559,4 @@ def _parse_frac(s) -> Fraction:
         return Fraction(s)
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise ValueError(f"bad rational value {s!r}")
+    raise ValueError(f"bad rational value of type {type(s).__name__}")

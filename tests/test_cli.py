@@ -144,17 +144,56 @@ def _rp2_doc_with(edit):
      "vertex id must be"),
 ])
 def test_mistyped_graph_exits_1_without_traceback(tmp_path, doc, needle):
-    path = tmp_path / "g.json"
+    assert needle in cli_input_error(tmp_path, doc, "invariants",
+                                     "--category", "unoriented")
+
+
+def cli_input_error(tmp_path, doc, *argv):
+    """Run the CLI in a fresh interpreter on doc; it must exit 1 with one
+    error line on stderr and no traceback.  Returns that line."""
+    path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     src = str(Path(foldcob.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "foldcob.cli", "invariants", "--in", str(path),
-         "--category", "unoriented"],
+        [sys.executable, "-m", "foldcob.cli", argv[0], "--in", str(path),
+         *argv[1:]],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert needle in proc.stderr
+    return proc.stderr
+
+
+def _diagram_with(event=None, arc=None):
+    return {"mode": "CLOSED", "cells": [
+        {"arc": {"circles": 0, **(arc or {})}},
+        {"event": {"class": "I0", "components": 1, **(event or {})}},
+        {"arc": {"circles": 1}},
+        {"event": {"class": "I0", "components": 1}}]}
+
+
+@pytest.mark.parametrize("doc, needle", [
+    # a list class used to escape as an unhashable-type TypeError
+    (_diagram_with(event={"class": [1]}), "class must be a string, not list"),
+    # 1.9 used to be truncated to 1 and "1" and true accepted as 1
+    (_diagram_with(event={"components": 1.9}),
+     "components must be an integer, not float"),
+    (_diagram_with(event={"components": "1"}),
+     "components must be an integer, not str"),
+    (_diagram_with(arc={"circles": True}),
+     "circles must be an integer, not bool"),
+    (_diagram_with(arc={"arcs": 0.0}), "arcs must be an integer, not float"),
+])
+def test_mistyped_diagram_exits_1_without_traceback(tmp_path, doc, needle):
+    assert needle in cli_input_error(tmp_path, doc, "cusp")
+
+
+def test_rational_error_line_is_bounded(tmp_path):
+    doc = _rp2_doc_with(lambda d: d["vertices"][0].update(value=[0] * 20000))
+    line = cli_input_error(tmp_path, doc, "invariants", "--category",
+                           "unoriented")
+    assert "bad rational value of type list" in line
+    assert len(line) < 200

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldcob.complexes import (ChainMap, Direction, Generator, MixedComplex,
-                               NotACycleError, RingTag, express_class,
-                               hom_dual, homology, induced_map, make_complex,
-                               validate_chain_map, validate_complex,
-                               zero_complex)
-from foldcob.intmat import IntMatrix, kernel_basis
+from foldcob.complexes import (ChainMap, ComplexError, Direction, Generator,
+                               MixedComplex, NotACycleError, RingTag,
+                               express_class, hom_dual, homology, induced_map,
+                               make_complex, validate_chain_map,
+                               validate_complex, zero_complex)
+from foldcob.intmat import IntMatrix, diagonal, snf_with_inverses
 
 from test_intmat import frac_rank
 
@@ -24,7 +24,10 @@ def build_free_complex(d1_rows, seed_rows):
     are independent of that step.
     """
     d1 = IntMatrix.from_rows(d1_rows)
-    k = kernel_basis(d1)
+    _, s, v, _, _ = snf_with_inverses(d1)
+    diag = diagonal(s)
+    k = v.submatrix(range(d1.cols), [j for j in range(d1.cols)
+                                     if j >= len(diag) or diag[j] == 0])
     ncols = len(seed_rows)
     flat = [x for row in seed_rows for x in row] or [0]
     data = [[flat[(i * ncols + j) % len(flat)] for j in range(ncols)]
@@ -37,6 +40,28 @@ def build_free_complex(d1_rows, seed_rows):
         tuple(Generator(f"c{i}", RingTag.FREE) for i in range(d2.cols)),
     )
     return MixedComplex(Direction.HOMOLOGICAL, gens, (d1, d2))
+
+
+def build_mixed_complex(d1_rows, seed_rows, torsion_seeds):
+    """build_free_complex with some generators made two-torsion.
+
+    The torsion set is closed downwards (every target of a torsion source
+    is torsion), so no torsion source meets a free target and d1 ∘ d2 = 0
+    still holds over Z.
+    """
+    cx = build_free_complex(d1_rows, seed_rows)
+    seeds = iter(torsion_seeds)
+    torsion = [{i for i in range(cx.n(deg)) if next(seeds)}
+               for deg in range(3)]
+    for deg in (2, 1):
+        d = cx.differentials[deg - 1]
+        torsion[deg - 1] |= {r for r in range(d.rows) for c in torsion[deg]
+                             if d.entries[r][c] != 0}
+    gens = tuple(tuple(Generator(g.name, RingTag.TWO_TORSION if i in torsion[deg]
+                                 else RingTag.FREE)
+                       for i, g in enumerate(cx.generators[deg]))
+                 for deg in range(3))
+    return MixedComplex(Direction.HOMOLOGICAL, gens, cx.differentials)
 
 
 small_mats = st.integers(1, 4).flatmap(
@@ -85,6 +110,98 @@ def test_express_class_of_basis_is_identity(d1_rows, mix_rows):
             coords = express_class(cx, deg, cyc)
             assert coords == tuple(1 if i == j else 0
                                    for i in range(pres.rank))
+
+
+def check_express_recovers_coefficients(cx, deg, data):
+    """A random combination of basis cycles plus a random boundary is
+    expressed by its coefficients, the torsion ones mod their order."""
+    pres = homology(cx, deg)
+    coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=pres.rank,
+                                max_size=pres.rank))
+    vec = [0] * cx.n(deg)
+    for c, cyc in zip(coeffs, pres.basis_cycles):
+        vec = [x + c * y for x, y in zip(vec, cyc)]
+    inn = cx.in_diff(deg)
+    if inn is not None:
+        chain = data.draw(st.lists(st.integers(-3, 3), min_size=inn[0].cols,
+                                   max_size=inn[0].cols))
+        vec = [x + y for x, y in zip(vec, inn[0].apply(chain))]
+    for i in cx.torsion_indices(deg):
+        vec[i] += 2 * data.draw(st.integers(-3, 3))
+    free = pres.free_rank
+    want = tuple(coeffs[:free]) + tuple(
+        c % t for c, t in zip(coeffs[free:], pres.torsion))
+    assert express_class(cx, deg, vec) == want
+
+
+@pytest.mark.parametrize("dual", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_express_class_recovers_v32_coefficients(dual, data):
+    from foldcob.catalog import CatalogId, catalog
+    cx = catalog(CatalogId.V32)
+    if dual:
+        cx = hom_dual(cx, RingTag.TWO_TORSION)
+    for deg in range(3):
+        check_express_recovers_coefficients(cx, deg, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mats, small_mats,
+       st.lists(st.booleans(), min_size=12, max_size=12), st.data())
+def test_express_class_recovers_mixed_coefficients(d1_rows, mix_rows,
+                                                   torsion_seeds, data):
+    cx = build_mixed_complex(d1_rows, mix_rows, torsion_seeds)
+    assert not validate_complex(cx)
+    for deg in range(3):
+        check_express_recovers_coefficients(cx, deg, data)
+
+
+def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf_with_inverses(m)
+
+    monkeypatch.setattr("foldcob.complexes.snf_with_inverses", counting)
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("two_snf_x", RingTag.FREE)], [("two_snf_y", RingTag.FREE),
+                                         ("two_snf_t", RingTag.TWO_TORSION)],
+         [("two_snf_z", RingTag.FREE)]],
+        [{"two_snf_y": {"two_snf_x": 2}}, {"two_snf_z": {"two_snf_t": 2}}])
+    homology.cache_clear()
+    for deg in range(3):
+        calls.clear()
+        homology(cx, deg)
+        assert len(calls) == 2
+    calls.clear()
+    assert express_class(cx, 1, (0, 1)) == (1,)
+    assert express_class(cx, 0, (3,)) == (1,)
+    assert not calls
+
+
+def test_express_class_rejects_wrong_length():
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("x", RingTag.FREE)], [("y", RingTag.FREE), ("w", RingTag.FREE)]],
+        [{"y": {"x": 1}, "w": {"x": 1}}])
+    assert express_class(cx, 1, (1, -1)) == (-1,)
+    with pytest.raises(ValueError, match="3 entries"):
+        express_class(cx, 1, (1, -1, 5))
+    with pytest.raises(ValueError, match="1 entries"):
+        express_class(cx, 1, (1,))
+
+
+def test_homology_rejects_nonzero_composite():
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("x", RingTag.FREE)], [("y", RingTag.FREE)], [("z", RingTag.FREE)]],
+        [{"y": {"x": 1}}, {"z": {"y": 2}}])
+    with pytest.raises(ComplexError,
+                       match="image does not lie in the cycle lattice"):
+        homology(cx, 1)
 
 
 def test_hom_dual_generator_counts():
@@ -140,6 +257,14 @@ def test_express_class_rejects_non_cycles():
         Direction.HOMOLOGICAL,
         [[("x", RingTag.FREE)], [("y", RingTag.FREE)]],
         [{"y": {"x": 1}}])
+    with pytest.raises(NotACycleError):
+        express_class(cx, 1, (1,))
+    # an odd image on a two-torsion target is not zero there either
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("x", RingTag.TWO_TORSION)], [("y", RingTag.FREE)]],
+        [{"y": {"x": 1}}])
+    assert express_class(cx, 1, (2,)) in {(1,), (-1,)}
     with pytest.raises(NotACycleError):
         express_class(cx, 1, (1,))
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldcob.intmat import (IntMatrix, cokernel_is_trivial, diagonal,
-                            kernel_basis, smith_normal_form,
-                            snf_with_inverses, solve)
+                            smith_normal_form, snf_with_inverses)
 
 
 def frac_det(m: IntMatrix) -> Fraction:
@@ -79,25 +80,46 @@ def test_snf_contract(rows):
     assert sum(1 for d in diag if d != 0) == frac_rank(m)
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices)
-def test_kernel_basis(rows):
-    m = IntMatrix.from_rows(rows)
-    k = kernel_basis(m)
-    assert m.mul(k).is_zero()
-    assert k.cols == m.cols - frac_rank(m)
-    assert frac_rank(k) == k.cols
+def int_det(rows):
+    """Determinant by the permutation expansion (the matrices here are tiny)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
 
 
-@settings(max_examples=80, deadline=None)
-@given(matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=8))
-def test_solve_roundtrip(rows, xs):
-    m = IntMatrix.from_rows(rows)
-    x = IntMatrix.from_rows([[v] for v in (xs * 8)[:m.cols]], 1)
-    b = m.mul(x)
-    sol = solve(m, b)
-    assert sol is not None
-    assert m.mul(sol) == b
+def determinantal_divisor(rows, k):
+    """gcd of all k x k minors (0 when they all vanish)."""
+    g = 0
+    for r in itertools.combinations(range(len(rows)), k):
+        for c in itertools.combinations(range(len(rows[0])), k):
+            g = math.gcd(g, int_det([[rows[i][j] for j in c] for i in r]))
+    return g
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
+            min_size=r, max_size=r)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices)
+def test_snf_matches_determinantal_divisors(rows):
+    # d1 * ... * dk is the gcd of the k x k minors, an invariant that needs
+    # no elimination at all
+    _, s, _, _, _ = snf_with_inverses(IntMatrix.from_rows(rows))
+    product = 1
+    for k, d in enumerate(diagonal(s), start=1):
+        product *= d
+        assert product == determinantal_divisor(rows, k)
 
 
 def test_snf_identity_and_zero():
@@ -130,12 +152,6 @@ def test_snf_frozen_example():
     u, s, v = smith_normal_form(m)
     assert diagonal(s) == [2, 4]
     assert u.mul(m).mul(v) == s
-
-
-def test_solve_unsolvable():
-    m = IntMatrix.from_rows([[2]])
-    b = IntMatrix.from_rows([[1]])
-    assert solve(m, b) is None
 
 
 def test_cokernel():
