@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
-                        RingTag, hom_dual, induced_is_isomorphism,
+                        RingTag, hom_dual, homology, induced_is_isomorphism,
                         induced_map, is_surjective_on_degree, make_complex,
                         validate_chain_map, validate_complex)
 from .intmat import IntMatrix
@@ -372,7 +372,6 @@ def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
     bad = validate_chain_map(dual_lam)
     if bad:
         raise ComplexError(f"dualized collapse map fails: {bad[0]}")
-    from .complexes import homology
     group = homology(dual_f, deg)
     comparison = induced_map(dual_lam, deg)
     iso = induced_is_isomorphism(dual_lam, deg)

@@ -13,7 +13,8 @@ import sys
 from . import selftest
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, hypercohomology, suspension_map)
-from .complexes import (ComplexError, Direction, RingTag, homology)
+from .complexes import (ComplexError, Direction, RingTag, homology,
+                        induced_map)
 from .diagrams import (cusp_count_boundary, cusp_count_closed,
                        diagram_from_json, BoundaryMode)
 from .intmat import IntMatrix
@@ -76,7 +77,6 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_suspension(args) -> int:
-    from .complexes import induced_map
     maps = suspension_map(args.variant)
     m = induced_map(maps.pullback, 1)
     return _emit({"variant": args.variant, "h1_matrix": _matrix_rows(m)})

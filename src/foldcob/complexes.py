@@ -206,9 +206,6 @@ class AbelianGroupPresentation:
     def rank(self) -> int:
         return self.free_rank + len(self.torsion)
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0
-
 
 def _check_degree(cx: MixedComplex, deg: int):
     if not 0 <= deg <= cx.top_degree:
@@ -318,9 +315,6 @@ class ChainMap:
     source: MixedComplex
     target: MixedComplex
     matrices: tuple[IntMatrix, ...]
-
-    def degree_count(self) -> int:
-        return len(self.matrices)
 
 
 def validate_chain_map(f: ChainMap) -> list[Violation]:

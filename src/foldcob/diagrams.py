@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .reeb import ReebGraph, _valid_sweep
+from .reeb import ReebGraph, _parse_enum, _valid_sweep
 
 
 class BoundaryMode(Enum):
@@ -261,7 +261,7 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
     if not isinstance(doc, dict):
         raise DiagramError("diagram document must be a JSON object")
     try:
-        mode = BoundaryMode(doc["mode"])
+        mode = _parse_enum(BoundaryMode, doc["mode"], "mode")
         cells = []
         for cell in doc["cells"]:
             if "arc" in cell:

@@ -40,10 +40,6 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
                                      for i in range(n)))
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -84,9 +80,6 @@ class IntMatrix:
     def submatrix(self, row_idx, col_idx):
         data = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return IntMatrix(len(row_idx), len(col_idx), data)
-
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def from_columns(cols, rows):
@@ -132,13 +125,6 @@ class _Work:
             r[i], r[j] = r[j], r[i]
         self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
 
-    def col_neg(self, i):
-        for r in self.s:
-            r[i] = -r[i]
-        for r in self.v:
-            r[i] = -r[i]
-        self.vinv[i] = [-x for x in self.vinv[i]]
-
     def col_add(self, i, j, q):
         # col i += q * col j
         for r in self.s:
@@ -147,93 +133,60 @@ class _Work:
             r[i] += q * r[j]
         self.vinv[j] = [a - q * b for a, b in zip(self.vinv[j], self.vinv[i])]
 
-    def row_combine(self, i, j, a, b, c, d):
-        # rows (i, j) <- (a*ri + b*rj, c*ri + d*rj); needs a*d - b*c == 1
-        for rows in (self.s, self.u):
-            rows[i], rows[j] = (
-                [a * x + b * y for x, y in zip(rows[i], rows[j])],
-                [c * x + d * y for x, y in zip(rows[i], rows[j])])
-        for r in self.uinv:
-            r[i], r[j] = d * r[i] - c * r[j], -b * r[i] + a * r[j]
 
-    def col_combine(self, i, j, a, b, c, d):
-        # cols (i, j) <- (a*ci + b*cj, c*ci + d*cj); needs a*d - b*c == 1
-        for rows in (self.s, self.v):
-            for r in rows:
-                r[i], r[j] = a * r[i] + b * r[j], c * r[i] + d * r[j]
-        self.vinv[i], self.vinv[j] = (
-            [d * x - c * y for x, y in zip(self.vinv[i], self.vinv[j])],
-            [-b * x + a * y for x, y in zip(self.vinv[i], self.vinv[j])])
-
-
-def _xgcd(a, b):
-    """(g, x, y) with x*a + y*b == g == gcd(a, b) (g may be negative)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+def _nearest_quotient(x, p):
+    """The integer q nearest to x / p, so that |x - q*p| <= |p| / 2."""
+    q, r = divmod(x, p)
+    return q + 1 if 2 * abs(r) > abs(p) else q
 
 
 def _reduce(w: _Work):
-    nr, nc = w.nr, w.nc
+    # Euclidean reduction: the pivot's row and column are cut down to
+    # remainders of at most |pivot| / 2, and the least remainder becomes
+    # the next pivot, so |pivot| strictly falls and coefficients stay small
+    nr, nc, s = w.nr, w.nc, w.s
     t = 0
     while t < min(nr, nc):
-        # locate a pivot in the remaining block
-        best = next(((i, j) for i in range(t, nr) for j in range(t, nc)
-                     if w.s[i][j] != 0), None)
-        if best is None:
+        # pivot: the entry of least |.| in the first nonzero row of the block
+        i = next((i for i in range(t, nr) if any(s[i][t:])), None)
+        if i is None:
             break
-        if best[0] != t:
-            w.row_swap(t, best[0])
-        if best[1] != t:
-            w.col_swap(t, best[1])
+        row = s[i]
+        j = min((j for j in range(t, nc) if row[j]), key=lambda j: abs(row[j]))
+        if i != t:
+            w.row_swap(t, i)
+        if j != t:
+            w.col_swap(t, j)
         while True:
-            # gcd-eliminate column t, then row t; column elimination by a
-            # general unimodular combine can dirty column t again, but
-            # only while |pivot| strictly shrinks, so this terminates
+            p = s[t][t]
+            # a zero quotient (|entry| <= |p| / 2) would add nothing
             for i in range(t + 1, nr):
-                x = w.s[i][t]
-                if x != 0:
-                    p = w.s[t][t]
-                    if x % p == 0:
-                        w.row_add(i, t, -(x // p))
-                    else:
-                        g, a, b = _xgcd(p, x)
-                        if g < 0:
-                            g, a, b = -g, -a, -b
-                        w.row_combine(t, i, a, b, -(x // g), p // g)
+                q = s[i][t] and _nearest_quotient(s[i][t], p)
+                if q:
+                    w.row_add(i, t, -q)
             for j in range(t + 1, nc):
-                x = w.s[t][j]
-                if x != 0:
-                    p = w.s[t][t]
-                    if x % p == 0:
-                        w.col_add(j, t, -(x // p))
-                    else:
-                        g, a, b = _xgcd(p, x)
-                        if g < 0:
-                            g, a, b = -g, -a, -b
-                        w.col_combine(t, j, a, b, -(x // g), p // g)
-            if (all(w.s[i][t] == 0 for i in range(t + 1, nr))
-                    and all(w.s[t][j] == 0 for j in range(t + 1, nc))):
+                q = s[t][j] and _nearest_quotient(s[t][j], p)
+                if q:
+                    w.col_add(j, t, -q)
+            rest = [(abs(s[i][t]), i, t) for i in range(t + 1, nr) if s[i][t]]
+            rest += [(abs(s[t][j]), t, j) for j in range(t + 1, nc) if s[t][j]]
+            if not rest:
                 break
-        # force divisibility towards the rest of the block
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if w.s[i][j] % w.s[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            _, i, j = min(rest)
+            if i != t:
+                w.row_swap(t, i)
+            else:
+                w.col_swap(t, j)
+        # force divisibility towards the rest of the block (a unit divides
+        # everything)
+        p = s[t][t]
+        offender = None if abs(p) == 1 else next(
+            (i for i in range(t + 1, nr) if any(x % p for x in s[i][t + 1:])),
+            None)
         if offender is not None:
             w.row_add(t, offender, 1)
             continue
-        if w.s[t][t] < 0:
+        if p < 0:
             w.row_neg(t)
         t += 1
 

@@ -159,11 +159,13 @@ class _Sweep:
         for a, b in g.edges:
             i, j = index.get(a), index.get(b)
             if i is None or j is None:
-                problems.append(f"edge ({a},{b}) references unknown vertex")
+                problems.append(f"edge ({_show_id(a)},{_show_id(b)}) "
+                                "references unknown vertex")
                 unknown = True
                 continue
             if rank[i] == rank[j]:
-                problems.append(f"edge ({a},{b}) joins equal values")
+                problems.append(f"edge ({_show_id(a)},{_show_id(b)}) "
+                                "joins equal values")
             elif rank[i] < rank[j]:
                 up[i] += 1
             else:
@@ -176,15 +178,20 @@ class _Sweep:
         for v, d, u in zip(vs, deg, up):
             kind = v.kind
             if d != _DEGREE[kind]:
-                problems.append(f"vertex {v.id}: {kind.value} has degree {d}")
+                problems.append(f"vertex {_show_id(v.id)}: {kind.value} "
+                                f"has degree {d}")
             elif kind is VertexKind.MIN and u != 1:
-                sides.append(f"vertex {v.id}: MIN must have its neighbor above")
+                sides.append(f"vertex {_show_id(v.id)}: "
+                             "MIN must have its neighbor above")
             elif kind is VertexKind.MAX and d - u != 1:
-                sides.append(f"vertex {v.id}: MAX must have its neighbor below")
+                sides.append(f"vertex {_show_id(v.id)}: "
+                             "MAX must have its neighbor below")
             elif kind is VertexKind.SADDLE and u not in (1, 2):
-                sides.append(f"vertex {v.id}: saddle needs edges on both sides")
+                sides.append(f"vertex {_show_id(v.id)}: "
+                             "saddle needs edges on both sides")
             elif kind is VertexKind.DEG2 and (u != 1 or d - u != 1):
-                sides.append(f"vertex {v.id}: DEG2 needs one edge on each side")
+                sides.append(f"vertex {_show_id(v.id)}: "
+                             "DEG2 needs one edge on each side")
         # every degree problem comes before every side problem
         problems += sides
         if g.orientable and any(v.kind is VertexKind.DEG2 for v in vs):
@@ -519,7 +526,7 @@ def graph_from_json(doc) -> ReebGraph:
             raise ValueError("orientable must be true or false, not "
                              f"{type(orientable).__name__}")
         vertices = tuple(Vertex(_parse_id(v["id"]), _parse_frac(v["value"]),
-                                VertexKind(v["kind"]))
+                                _parse_enum(VertexKind, v["kind"], "kind"))
                          for v in doc["vertices"])
         edges = tuple((_parse_id(a), _parse_id(b)) for a, b in doc["edges"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -527,6 +534,24 @@ def graph_from_json(doc) -> ReebGraph:
     g = ReebGraph(orientable, vertices, edges)
     _valid_sweep(g)
     return g
+
+
+def _parse_enum(cls, x, field):
+    """cls(x); the error names the allowed values instead of echoing x."""
+    try:
+        return cls(x)
+    except ValueError:
+        raise ValueError(f"{field} must be one of "
+                         + ", ".join(m.value for m in cls)) from None
+
+
+_MAX_ID_CHARS = 40
+
+
+def _show_id(x) -> str:
+    """A vertex id as messages show it: long ids are cut short."""
+    s = str(x)
+    return s if len(s) <= _MAX_ID_CHARS else s[:_MAX_ID_CHARS] + "..."
 
 
 def _frac_str(x: Fraction) -> str:

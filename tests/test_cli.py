@@ -25,6 +25,35 @@ def test_homology_contract(capsys):
     assert out == '{"free_rank":2,"torsion":[2]}\n'
 
 
+# The basis-dependent outputs: the suspension matrices are written in the
+# homology bases the Smith reduction picks, so a change of pivoting shows
+# here first.  Expected stdout is byte for byte the recorded CLI contract.
+@pytest.mark.parametrize("argv, expected", [
+    (["suspension", "--variant", "co_Z"],
+     '{"h1_matrix":[[-1,-1],[0,-1],[-1,0]],"variant":"co_Z"}\n'),
+    (["suspension", "--variant", "full_Z2"],
+     '{"h1_matrix":[[0,1,0],[0,1,1],[0,1,0],[1,0,0],[1,0,0]],'
+     '"variant":"full_Z2"}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z", "--deg", "0"],
+     '{"comparison_iso":true,"free_rank":1,"torsion":[]}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z", "--deg", "1"],
+     '{"comparison_iso":true,"free_rank":2,"torsion":[]}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z", "--deg", "2"],
+     '{"comparison_iso":false,"free_rank":20,"torsion":[2]}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z2", "--deg", "0"],
+     '{"comparison_iso":true,"free_rank":0,"torsion":[2]}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z2", "--deg", "1"],
+     '{"comparison_iso":true,"free_rank":0,"torsion":[2,2,2]}\n'),
+    (["hyper", "--id", "V32", "--coeff", "Z2", "--deg", "2"],
+     '{"comparison_iso":false,"free_rank":0,"torsion":'
+     '[2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2]}\n'),
+])
+def test_basis_dependent_stdout(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_catalog_list_and_export_deterministic(capsys):
     code, out1, _ = run(capsys, "catalog", "export", "--id", "BCUSP32")
     assert code == 0
@@ -197,3 +226,23 @@ def test_rational_error_line_is_bounded(tmp_path):
                            "unoriented")
     assert "bad rational value of type list" in line
     assert len(line) < 200
+
+
+def _long_edge_id(d):
+    d["edges"].append([0, "x" * 20000])
+
+
+# enum values and ids are named or cut short, never echoed whole
+@pytest.mark.parametrize("doc, argv, needle", [
+    ({**_diagram_with(), "mode": [0] * 20000}, ["cusp"],
+     "mode must be one of CLOSED, WITH_BOUNDARY"),
+    (_rp2_doc_with(lambda d: d["vertices"][0].update(kind="K" * 20000)),
+     ["invariants", "--category", "unoriented"],
+     "kind must be one of MIN, MAX, SADDLE, DEG2"),
+    (_rp2_doc_with(_long_edge_id), ["invariants", "--category", "unoriented"],
+     "references unknown vertex"),
+], ids=["mode", "kind", "edge-id"])
+def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
+    line = cli_input_error(tmp_path, doc, *argv)
+    assert needle in line
+    assert len(line.encode()) < 200

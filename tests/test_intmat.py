@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,49 @@ def test_snf_dense_wide_matrix():
     assert u.mul(m).mul(v) == s
     assert uinv.mul(u) == IntMatrix.identity(8)
     assert vinv.mul(v) == IntMatrix.identity(7)
+
+
+def _random_rows(rng, nr, nc, entry):
+    return [[entry(rng) for _ in range(nc)] for _ in range(nr)]
+
+
+def _dense(rng):
+    return rng.randint(-3, 3)
+
+
+def _sparse(rng):
+    # +-1 with probability 0.2, else 0
+    return rng.choice((-1, 1)) if rng.random() < 0.2 else 0
+
+
+def _transform_bits(rows):
+    """Check the SNF contract on rows; the largest bit length of an entry
+    of u, v, u^-1 or v^-1."""
+    m = IntMatrix.from_rows(rows)
+    u, s, v, uinv, vinv = snf_with_inverses(m)
+    assert u.mul(m).mul(v) == s
+    assert u.mul(uinv) == IntMatrix.identity(m.rows)
+    assert v.mul(vinv) == IntMatrix.identity(m.cols)
+    return max(abs(x).bit_length()
+               for t in (u, v, uinv, vinv) for row in t.entries for x in row)
+
+
+# Coefficient growth: Bezout recombination of rows multiplies them by the
+# pivot's cofactors and gave transforms of thousands of bits on these
+# (tens of thousands on the sparse one); a Euclidean reduction keeps
+# every remainder at most half the pivot.
+@pytest.mark.parametrize("n, entry, seed", [(26, _dense, 1), (60, _sparse, 1)])
+def test_snf_transform_bits_bounded_large(n, entry, seed):
+    rows = _random_rows(random.Random(seed), n, n, entry)
+    assert _transform_bits(rows) <= 2048
+
+
+def test_snf_transform_bits_bounded_small():
+    rng = random.Random(2024)
+    worst = max(_transform_bits(_random_rows(rng, rng.randint(1, 12),
+                                             rng.randint(1, 12), _dense))
+                for _ in range(300))
+    assert worst <= 128
 
 
 def test_snf_frozen_example():
