@@ -232,7 +232,7 @@ def _lift(cx: MixedComplex, deg: int, x):
     return tuple(x) + tuple(y)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """Homology (or cohomology, per direction) at the given degree.
 
@@ -240,6 +240,10 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     of v are the cycle lattice and whose matching rows of v^-1 give the
     coordinates of any cycle in it, and one of the boundaries written in
     those coordinates.
+
+    The 64 most recently used (complex, degree) pairs are memoized; keys
+    compare complexes by value, and the bound keeps a long run over many
+    distinct complexes from holding every presentation.
     """
     _check_degree(cx, deg)
     n = cx.n(deg)

@@ -43,12 +43,17 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        data = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j]
-                      for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows))
-        return IntMatrix(self.rows, other.cols, data)
+        # each output row is the sum of a * (row k of other) over the
+        # nonzero entries a = self[i][k]; the matrices here are mostly zeros
+        zero = (0,) * other.cols
+        data = []
+        for row in self.entries:
+            acc = zero
+            for a, brow in zip(row, other.entries):
+                if a:
+                    acc = [x + a * y for x, y in zip(acc, brow)]
+            data.append(tuple(acc))
+        return IntMatrix(self.rows, other.cols, tuple(data))
 
     def transpose(self) -> "IntMatrix":
         data = tuple(tuple(self.entries[i][j] for i in range(self.rows))
@@ -69,13 +74,15 @@ class IntMatrix:
         return tuple(self.entries[i][j] for i in range(self.rows))
 
     def columns(self):
-        return [self.column(j) for j in range(self.cols)]
+        if not self.rows:
+            return [()] * self.cols
+        return list(zip(*self.entries))
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.entries[i][j] * vec[j] for j in range(self.cols))
-                     for i in range(self.rows))
+        nonzero = [(j, x) for j, x in enumerate(vec) if x]
+        return tuple(sum(row[j] * x for j, x in nonzero) for row in self.entries)
 
     def submatrix(self, row_idx, col_idx):
         data = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
@@ -84,7 +91,11 @@ class IntMatrix:
 
 def from_columns(cols, rows):
     """Build a matrix from a list of column vectors (rows = row count)."""
-    data = tuple(tuple(int(c[i]) for c in cols) for i in range(rows))
+    if any(len(c) != rows for c in cols):
+        raise ValueError("column length mismatch")
+    if not cols:
+        return IntMatrix.zero(rows, 0)
+    data = tuple(tuple(map(int, r)) for r in zip(*cols))
     return IntMatrix(rows, len(cols), data)
 
 
@@ -116,7 +127,8 @@ class _Work:
         self.s[i] = [a + q * b for a, b in zip(self.s[i], self.s[j])]
         self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
         for r in self.uinv:
-            r[j] -= q * r[i]
+            if r[i]:
+                r[j] -= q * r[i]
 
     def col_swap(self, i, j):
         for r in self.s:
@@ -128,9 +140,11 @@ class _Work:
     def col_add(self, i, j, q):
         # col i += q * col j
         for r in self.s:
-            r[i] += q * r[j]
+            if r[j]:
+                r[i] += q * r[j]
         for r in self.v:
-            r[i] += q * r[j]
+            if r[j]:
+                r[i] += q * r[j]
         self.vinv[j] = [a - q * b for a, b in zip(self.vinv[j], self.vinv[i])]
 
 

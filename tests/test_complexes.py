@@ -182,6 +182,49 @@ def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
     assert not calls
 
 
+def _point(name):
+    return make_complex(Direction.HOMOLOGICAL, [[(name, RingTag.FREE)]], [])
+
+
+def test_homology_cache_is_bounded():
+    maxsize = homology.cache_info().maxsize
+    assert maxsize is not None
+    homology.cache_clear()
+    for i in range(maxsize + 20):
+        assert homology(_point(f"bounded{i}"), 0).free_rank == 1
+    assert homology.cache_info().currsize <= maxsize
+
+
+def test_homology_cache_keeps_recent_presentation(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf_with_inverses(m)
+
+    monkeypatch.setattr("foldcob.complexes.snf_with_inverses", counting)
+    maxsize = homology.cache_info().maxsize
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("recent_x", RingTag.FREE)], [("recent_y", RingTag.FREE),
+                                        ("recent_w", RingTag.FREE)]],
+        [{"recent_y": {"recent_x": 1}, "recent_w": {"recent_x": 1}}])
+    homology.cache_clear()
+    homology(cx, 1)
+    # fewer than maxsize other entries in between: still cached
+    for i in range(maxsize - 1):
+        homology(_point(f"recent{i}"), 0)
+    calls.clear()
+    assert express_class(cx, 1, (1, -1)) == (-1,)
+    assert not calls
+    # maxsize others since its last use: evicted, so computed again
+    for i in range(maxsize):
+        homology(_point(f"evict{i}"), 0)
+    calls.clear()
+    assert express_class(cx, 1, (1, -1)) == (-1,)
+    assert len(calls) == 2
+
+
 def test_express_class_rejects_wrong_length():
     cx = make_complex(
         Direction.HOMOLOGICAL,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldcob.intmat import (IntMatrix, cokernel_is_trivial, diagonal,
-                            smith_normal_form, snf_with_inverses)
+                            from_columns, smith_normal_form, snf_with_inverses)
 
 
 def frac_det(m: IntMatrix) -> Fraction:
@@ -208,5 +208,111 @@ def test_cokernel():
 def test_shape_errors():
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape mismatch in matrix product"):
         IntMatrix.identity(2).mul(IntMatrix.identity(3))
+    with pytest.raises(ValueError, match="shape mismatch in matrix product"):
+        IntMatrix.zero(2, 0).mul(IntMatrix.zero(1, 2))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        IntMatrix.identity(2).apply((1, 0, 0))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        IntMatrix.zero(3, 0).apply((0,))
+    with pytest.raises(ValueError, match="column length mismatch"):
+        from_columns([(1, 2), (3,)], 2)
+    with pytest.raises(ValueError, match="column length mismatch"):
+        from_columns([(1, 2, 3)], 2)
+
+
+# Differential tests of the zero-skipping kernels against the index-by-index
+# loops they replaced, on sparse, dense and big-integer entries and on
+# shapes with no rows or no columns.
+
+def naive_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    data = tuple(tuple(sum(a.entries[i][k] * b.entries[k][j]
+                           for k in range(a.cols))
+                       for j in range(b.cols))
+                 for i in range(a.rows))
+    return IntMatrix(a.rows, b.cols, data)
+
+
+def naive_apply(m: IntMatrix, vec):
+    return tuple(sum(m.entries[i][j] * vec[j] for j in range(m.cols))
+                 for i in range(m.rows))
+
+
+def naive_columns(m: IntMatrix):
+    return [tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols)]
+
+
+def naive_from_columns(cols, rows):
+    data = tuple(tuple(int(c[i]) for c in cols) for i in range(rows))
+    return IntMatrix(rows, len(cols), data)
+
+
+ENTRIES = {
+    "sparse": st.integers(-9, 9).map(lambda x: x if abs(x) == 1 else 0),
+    "dense": st.integers(-5, 5),
+    "big": st.integers(-(1 << 130), 1 << 130),
+}
+
+
+def int_matrices(nr, nc):
+    """An nr x nc matrix of one entry kind, with some rows zeroed."""
+    def build(kind):
+        return st.tuples(
+            st.lists(st.lists(ENTRIES[kind], min_size=nc, max_size=nc),
+                     min_size=nr, max_size=nr),
+            st.lists(st.booleans(), min_size=nr, max_size=nr),
+        ).map(lambda rz: IntMatrix(nr, nc, tuple(
+            (0,) * nc if zero else tuple(row) for row, zero in zip(*rz))))
+    return st.sampled_from(sorted(ENTRIES)).flatmap(build)
+
+
+dims = st.integers(0, 7)
+
+
+def assert_identical(got: IntMatrix, want: IntMatrix):
+    assert got == want
+    assert type(got.entries) is tuple
+    assert all(type(row) is tuple for row in got.entries)
+    assert all(type(x) is int for row in got.entries for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), dims, dims, dims)
+def test_mul_matches_naive(data, n, k, m):
+    a = data.draw(int_matrices(n, k))
+    b = data.draw(int_matrices(k, m))
+    assert_identical(a.mul(b), naive_mul(a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), dims, dims)
+def test_apply_matches_naive(data, nr, nc):
+    m = data.draw(int_matrices(nr, nc))
+    vec = data.draw(int_matrices(1, nc)).entries[0]
+    got = m.apply(vec)
+    assert got == naive_apply(m, vec)
+    assert type(got) is tuple
+    assert m.apply(list(vec)) == got
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), dims, dims)
+def test_columns_and_from_columns_match_naive(data, nr, nc):
+    m = data.draw(int_matrices(nr, nc))
+    cols = m.columns()
+    assert cols == naive_columns(m)
+    assert all(type(c) is tuple for c in cols)
+    assert_identical(from_columns(cols, nr), m)
+    as_lists = [list(c) for c in cols]
+    assert_identical(from_columns(as_lists, nr), naive_from_columns(as_lists, nr))
+
+
+def test_kernels_on_empty_shapes():
+    for nr, nc in ((0, 0), (0, 4), (4, 0)):
+        z = IntMatrix.zero(nr, nc)
+        assert z.columns() == [()] * nc
+        assert from_columns(z.columns(), nr) == z
+        assert z.apply((0,) * nc) == (0,) * nr
+        assert z.mul(IntMatrix.zero(nc, 3)) == IntMatrix.zero(nr, 3)
+        assert IntMatrix.zero(3, nr).mul(z) == IntMatrix.zero(3, nc)
