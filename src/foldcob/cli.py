@@ -13,8 +13,7 @@ import sys
 from . import selftest
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, hypercohomology, suspension_map)
-from .complexes import (ComplexError, Direction, RingTag, homology,
-                        induced_map)
+from .complexes import Direction, RingTag, homology, induced_map
 from .diagrams import (cusp_count_boundary, cusp_count_closed,
                        diagram_from_json, BoundaryMode)
 from .intmat import IntMatrix
@@ -38,6 +37,8 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"cannot read {path}: JSON nested too deeply") from None
 
 
 def _cmd_catalog(args) -> int:
@@ -69,10 +70,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    cx = catalog(CatalogId(args.id))
-    if not 0 <= args.deg <= cx.top_degree:
-        raise ComplexError(f"degree {args.deg} out of range for {args.id}")
-    pres = homology(cx, args.deg)
+    pres = homology(catalog(CatalogId(args.id)), args.deg)
     return _emit({"free_rank": pres.free_rank, "torsion": list(pres.torsion)})
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .reeb import ReebGraph, _parse_enum, _valid_sweep
 
@@ -60,11 +61,21 @@ class CircleFiberDiagram:
         after = self.cells[(i + 1) % len(self.cells)]
         return self.cells[i - 1], after
 
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        """What makes the diagram invalid, checked on first use.  The
+        diagram is immutable, so the check never goes stale."""
+        return tuple(_diagram_problems(self))
+
 
 _CLASSES = {"I0", "I1", "I2", "Ia"}
 
 
 def validate_diagram(d: CircleFiberDiagram) -> list[str]:
+    return list(d._problems)
+
+
+def _diagram_problems(d: CircleFiberDiagram) -> list[str]:
     out = []
     cells = d.cells
     if len(cells) == 0:
@@ -114,9 +125,8 @@ def validate_diagram(d: CircleFiberDiagram) -> list[str]:
 
 
 def _require_valid(d: CircleFiberDiagram):
-    bad = validate_diagram(d)
-    if bad:
-        raise DiagramError(bad[0])
+    if d._problems:
+        raise DiagramError(d._problems[0])
 
 
 def algebraic_counts(d: CircleFiberDiagram) -> dict:
@@ -189,9 +199,7 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
             # the regular level between two critical values
             cells.append(RegularArc(s.below[i]))
         cells.append(DiagramEvent(cls, components))
-    d = CircleFiberDiagram(BoundaryMode.CLOSED, tuple(cells))
-    _require_valid(d)
-    return d
+    return CircleFiberDiagram(BoundaryMode.CLOSED, tuple(cells))
 
 
 def reverse(d: CircleFiberDiagram) -> CircleFiberDiagram:
@@ -281,7 +289,5 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
     except (KeyError, TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from exc
     d = CircleFiberDiagram(mode, tuple(cells))
-    bad = validate_diagram(d)
-    if bad:
-        raise DiagramError(bad[0])
+    _require_valid(d)
     return d

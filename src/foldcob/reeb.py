@@ -56,24 +56,14 @@ class ReebGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[object, object], ...]
 
-    def vertex(self, vid):
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def count(self, kind: VertexKind) -> int:
         return sum(1 for v in self.vertices if v.kind is kind)
 
     @cached_property
-    def _neighbors(self) -> dict:
-        """Vertex id -> the vertices at the other ends of its edges."""
-        byid = {v.id: v for v in self.vertices}
-        out = {vid: [] for vid in byid}
-        for a, b in self.edges:
-            out[a].append(byid[b])
-            out[b].append(byid[a])
-        return out
+    def _sweep(self) -> _Sweep:
+        """The graph's level sweep, built on first use.  The graph is
+        immutable, so the sweep never goes stale."""
+        return _Sweep(self)
 
 
 def make_graph(orientable, vertices, edges) -> ReebGraph:
@@ -120,7 +110,11 @@ def _value_key(x: Fraction):
 
 
 class _Sweep:
-    """One level sweep of a graph, read by every surface computation.
+    """The level sweep of a graph, read by every surface computation.
+
+    Each graph builds its sweep once, as ``ReebGraph._sweep``, and keeps
+    it.  The sweep holds no reference back to the graph, so the pair
+    forms no reference cycle and is freed with the graph.
 
     ``problems`` lists what makes the graph invalid, in the order
     ``validate_reeb`` reports it.  When there are none, ``order`` holds
@@ -134,7 +128,6 @@ class _Sweep:
     """
 
     def __init__(self, g: ReebGraph):
-        self.graph = g
         self.problems = problems = []
         self.order, self.up, self.down, self.below = [], [], [], []
         vs = g.vertices
@@ -235,7 +228,7 @@ class _Sweep:
 
 def _valid_sweep(g: ReebGraph) -> _Sweep:
     """The sweep of a valid graph; ReebError names its first problem."""
-    s = _Sweep(g)
+    s = g._sweep
     if s.problems:
         raise ReebError(s.problems[0])
     return s
@@ -249,13 +242,7 @@ def _identity(holds: bool, name: str):
 
 
 def validate_reeb(g: ReebGraph) -> list[str]:
-    return _Sweep(g).problems
-
-
-def saddle_sign(g: ReebGraph, v: Vertex) -> int:
-    """+1 for a saddle with two upper edges, -1 with two lower."""
-    up = sum(1 for w in g._neighbors[v.id] if w.value > v.value)
-    return 1 if up == 2 else -1
+    return list(g._sweep.problems)
 
 
 def fiber_profile(g: ReebGraph) -> FiberProfile:
@@ -277,11 +264,7 @@ class InvariantVector:
 
 
 def invariants(g: ReebGraph, category: Category) -> InvariantVector:
-    return _invariants(_valid_sweep(g), category)
-
-
-def _invariants(s: _Sweep, category: Category) -> InvariantVector:
-    g = s.graph
+    s = _valid_sweep(g)
     if category.oriented and not g.orientable:
         raise CategoryError("oriented category requires an orientable graph")
     z = g.count(VertexKind.MAX) - g.count(VertexKind.MIN)
@@ -302,12 +285,7 @@ class PieceMultiset:
 
 
 def decompose(g: ReebGraph) -> PieceMultiset:
-    return _decompose(_valid_sweep(g))
-
-
-def _decompose(s: _Sweep) -> PieceMultiset:
-    g = s.graph
-    signs = s.saddle_signs()
+    signs = _valid_sweep(g).saddle_signs()
     n2 = signs.count(1)
     return PieceMultiset(
         n1=g.count(VertexKind.MIN) + g.count(VertexKind.MAX),
@@ -365,9 +343,8 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
     pieces (unoriented categories only), DELETE_SPHERE drops a capped
     star.  The surviving data is exactly the invariant vector.
     """
-    s = _valid_sweep(g)
-    inv = _invariants(s, category)
-    pieces = _decompose(s)
+    inv = invariants(g, category)
+    pieces = decompose(g)
     pairs = min(pieces.n2, pieces.n3)
     rp2 = pieces.n4 // 2
     if rp2 and category.oriented:
@@ -581,7 +558,10 @@ def _parse_frac(s) -> Fraction:
         if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
             raise ValueError("rational value exponent beyond "
                              f"+-{_MAX_VALUE_EXPONENT}")
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("rational value with zero denominator") from None
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"bad rational value of type {type(s).__name__}")

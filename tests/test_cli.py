@@ -171,6 +171,9 @@ def _rp2_doc_with(edit):
      "vertex id must be"),
     (_rp2_doc_with(lambda d: d.update(edges=[[[0], 1], [1, 2]])),
      "vertex id must be"),
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError
+    (_rp2_doc_with(lambda d: d["vertices"][0].update(value="1/0")),
+     "zero denominator"),
 ])
 def test_mistyped_graph_exits_1_without_traceback(tmp_path, doc, needle):
     assert needle in cli_input_error(tmp_path, doc, "invariants",
@@ -182,6 +185,11 @@ def cli_input_error(tmp_path, doc, *argv):
     error line on stderr and no traceback.  Returns that line."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
+    return cli_file_error(path, *argv)
+
+
+def cli_file_error(path, *argv):
+    """cli_input_error on a file as it stands."""
     src = str(Path(foldcob.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -246,3 +254,21 @@ def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
     line = cli_input_error(tmp_path, doc, *argv)
     assert needle in line
     assert len(line.encode()) < 200
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--category", "unoriented"],
+                                  ["cusp"]])
+def test_deeply_nested_json_exits_1_without_traceback(tmp_path, argv):
+    # json.load recurses once per level and raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert "nested too deeply" in cli_file_error(path, *argv)
+
+
+@pytest.mark.parametrize("deg", ["7", "-1"])
+def test_homology_degree_out_of_range_exits_1(capsys, deg):
+    code, out, err = run(capsys, "homology", "--id", "CO32", "--deg", deg)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: degree {deg} out of range")
+    assert err.count("\n") == 1

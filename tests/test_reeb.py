@@ -210,24 +210,23 @@ def _one_saddle_two_max():
 
 def test_invariant_identities_fire_on_inconsistent_counts():
     g = _one_saddle_two_max()
-    s = reeb._Sweep(g)
-    s.up[1] = 1          # the saddle now reads as having two lower edges
+    g._sweep.up[1] = 1   # the saddle now reads as having two lower edges
     with pytest.raises(AssertionError, match="strand-count"):
-        reeb._invariants(s, Category.ORIENTED)
-    s = reeb._Sweep(g)
-    s.down[3] = 0        # the top maximum's fiber gains a component
+        invariants(g, Category.ORIENTED)
+    g = _one_saddle_two_max()
+    g._sweep.down[3] = 0  # the top maximum's fiber gains a component
     with pytest.raises(AssertionError, match="minimum/maximum"):
-        reeb._invariants(s, Category.ORIENTED)
+        invariants(g, Category.ORIENTED)
 
 
 def test_reduction_identities_fire_on_inconsistent_counts(monkeypatch):
     g = _one_saddle_two_max()
-    monkeypatch.setattr(reeb, "_decompose",
-                        lambda s: PieceMultiset(n1=3, n2=0, n3=1, n4=0))
+    monkeypatch.setattr(reeb, "decompose",
+                        lambda g: PieceMultiset(n1=3, n2=0, n3=1, n4=0))
     with pytest.raises(AssertionError, match="z = n2 - n3"):
         reduce_to_normal_form(g, Category.ORIENTED)
-    monkeypatch.setattr(reeb, "_decompose",
-                        lambda s: PieceMultiset(n1=3, n2=1, n3=0, n4=1))
+    monkeypatch.setattr(reeb, "decompose",
+                        lambda g: PieceMultiset(n1=3, n2=1, n3=0, n4=1))
     with pytest.raises(AssertionError, match="w = n4 mod 2"):
         reduce_to_normal_form(g, Category.UNORIENTED)
 

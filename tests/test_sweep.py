@@ -13,7 +13,7 @@ sys.path.insert(0, "tests")
 from foldcob.diagrams import cusp_count_closed, from_reeb
 from foldcob.reeb import (Category, ReebError, ReebGraph, Vertex, VertexKind,
                           decompose, fiber_profile, invariants, random_reeb,
-                          saddle_sign, validate_reeb)
+                          validate_reeb)
 
 import reeb_reference as ref
 
@@ -85,9 +85,9 @@ def test_sweep_matches_reference(seed, size, orientable, damaged, rng):
     assert fiber_profile(g) == ref.fiber_profile(g)
     assert decompose(g) == ref.decompose(g)
     assert from_reeb(g) == ref.from_reeb(g)
-    for v in g.vertices:
-        if v.kind is VertexKind.SADDLE:
-            assert saddle_sign(g, v) == ref.saddle_sign(g, v)
+    saddles = sorted((v for v in g.vertices if v.kind is VertexKind.SADDLE),
+                     key=lambda v: v.value)
+    assert g._sweep.saddle_signs() == [ref.saddle_sign(g, v) for v in saddles]
 
 
 def test_hundred_thousand_vertices_in_near_linear_time():

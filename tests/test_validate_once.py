@@ -1,0 +1,138 @@
+"""Each graph is swept once and each diagram checked once, however many
+calls read them, and the cached results cannot be changed from outside."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import foldcob
+from foldcob import diagrams, reeb
+from foldcob.cli import main
+from foldcob.diagrams import (CircleFiberDiagram, DiagramEvent, RegularArc,
+                              BoundaryMode, cusp_count_closed,
+                              diagram_from_json, diagram_to_json, from_reeb,
+                              validate_diagram)
+from foldcob.reeb import (Category, fiber_profile, graph_from_json,
+                          graph_to_json, invariants, make_graph, random_reeb,
+                          reduce_to_normal_form, validate_reeb)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The number of level sweeps built since the fixture started."""
+    n = [0]
+
+    class CountedSweep(reeb._Sweep):
+        def __init__(self, g):
+            n[0] += 1
+            super().__init__(g)
+
+    monkeypatch.setattr(reeb, "_Sweep", CountedSweep)
+    return n
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The number of diagram checks run since the fixture started."""
+    n = [0]
+    problems = diagrams._diagram_problems
+
+    def counted(d):
+        n[0] += 1
+        return problems(d)
+
+    monkeypatch.setattr(diagrams, "_diagram_problems", counted)
+    return n
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+def test_surface_pipeline_sweeps_each_graph_once(sweeps, orientable):
+    doc = graph_to_json(random_reeb(5, 60, orientable))
+    category = Category.ORIENTED if orientable else Category.UNORIENTED
+    sweeps[0] = 0
+    g = graph_from_json(doc)
+    invariants(g, category)
+    reduce_to_normal_form(g, category)
+    fiber_profile(g)
+    from_reeb(g)
+    assert sweeps[0] == 1
+
+
+def test_cobordant_command_sweeps_each_graph_once(sweeps, capsys, tmp_path):
+    paths = []
+    for seed in (1, 2):
+        path = tmp_path / f"g{seed}.json"
+        path.write_text(json.dumps(graph_to_json(random_reeb(seed, 30, True))))
+        paths.append(str(path))
+    sweeps[0] = 0
+    assert main(["cobordant", "--a", paths[0], "--b", paths[1],
+                 "--category", "oriented"]) == 0
+    capsys.readouterr()
+    assert sweeps[0] == 2
+
+
+def test_diagram_is_checked_once(checks):
+    doc = diagram_to_json(from_reeb(random_reeb(5, 60, False)))
+    checks[0] = 0
+    d = diagram_from_json(doc)
+    cusp_count_closed(d)
+    cusp_count_closed(d)
+    assert checks[0] == 1
+
+
+def test_diagram_of_a_graph_is_checked_by_its_first_reader(checks):
+    d = from_reeb(random_reeb(5, 60, False))
+    assert checks[0] == 0
+    cusp_count_closed(d)
+    validate_diagram(d)
+    assert checks[0] == 1
+
+
+def test_validate_reeb_returns_a_copy():
+    bad = make_graph(True, [(0, 0, "SADDLE")], [])
+    problems = validate_reeb(bad)
+    assert problems
+    validate_reeb(bad).clear()
+    assert validate_reeb(bad) == problems
+    good = make_graph(True, [(0, 0, "MIN"), (1, 1, "MAX")], [(0, 1)])
+    validate_reeb(good).append("tampered")
+    assert validate_reeb(good) == []
+    assert invariants(good, Category.ORIENTED).z == 0
+
+
+def test_validate_diagram_returns_a_copy():
+    bad = CircleFiberDiagram(BoundaryMode.CLOSED,
+                             (RegularArc(0), DiagramEvent("I0", 1)))
+    problems = validate_diagram(bad)
+    assert problems
+    validate_diagram(bad).clear()
+    assert validate_diagram(bad) == problems
+    good = from_reeb(random_reeb(5, 20, True))
+    validate_diagram(good).append("tampered")
+    assert validate_diagram(good) == []
+    assert cusp_count_closed(good).cross_check == "ok"
+
+
+_TAMPER = """
+assert False, "asserts are on"
+from foldcob.reeb import Category, invariants, make_graph
+g = make_graph(True, [(0, 0, "MIN"), (1, 1, "SADDLE"), (2, 2, "MAX"),
+                      (3, 3, "MAX")], [(0, 1), (1, 2), (1, 3)])
+g._sweep.up[1] = 1   # the saddle now reads as having two lower edges
+invariants(g, Category.ORIENTED)
+"""
+
+
+def test_identities_fire_under_python_O():
+    # -O strips assert statements; the identity checks must still run
+    src = str(Path(foldcob.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _TAMPER],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode != 0
+    assert "strand-count identity failed" in proc.stderr
