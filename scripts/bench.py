@@ -11,12 +11,12 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
 - ``express_class`` on one reused Klein-bottle presentation.
 
 Each timing is the median (and the least) of REPEAT runs.  The results
-go under ``--label`` into ``BENCH_5.json`` at the repository root, next to
-any other labels already there, so two checkouts can be compared in one
-file:
+go under ``--label`` into the JSON file ``--out`` (``BENCH_5.json`` at the
+repository root by default), next to any other labels already there, so
+two checkouts can be compared in one file:
 
-    python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent
-    python3 scripts/bench.py --label change
+    python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent --out BENCH_7.json
+    python3 scripts/bench.py --label change --out BENCH_7.json
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import timeit
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-OUT = REPO / "BENCH_5.json"
 SEED = 5
 REPEAT = 5
 SIZES = (20, 40, 60)
@@ -124,6 +123,8 @@ def main(argv=None):
     ap.add_argument("--src", type=Path, default=REPO / "src",
                     help="directory holding the foldcob package to time")
     ap.add_argument("--label", default="change")
+    ap.add_argument("--out", type=Path, default=REPO / "BENCH_5.json",
+                    help="JSON file that collects the runs by label")
     args = ap.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(REPO / "perfbench")]
     import gen
@@ -134,9 +135,9 @@ def main(argv=None):
            "matrices": bench_matrices(gen, rng),
            "homology": bench_homology(gen, rng),
            "express": bench_express(gen, rng)}
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
-    OUT.write_text(json.dumps(doc, indent=1) + "\n")
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps(run, indent=1))
 
 

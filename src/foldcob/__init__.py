@@ -19,7 +19,7 @@ from .diagrams import (BoundaryMode, CircleFiberDiagram, CuspCount,
                        cusp_count_closed, diagram_from_json, diagram_to_json,
                        disjoint_union_diagrams, from_reeb, reverse,
                        validate_diagram)
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import IntMatrix, snf_with_inverses
 from .reeb import (Category, CategoryError, FiberProfile, InvariantVector,
                    PieceMultiset, ReebError, ReebGraph, Vertex, VertexKind,
                    canonical_graph, cobordant, decompose, disjoint_union,

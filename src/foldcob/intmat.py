@@ -2,6 +2,15 @@
 
 Everything here runs over Python's unbounded integers; no floating
 point is used anywhere in the algebra core.
+
+``IntMatrix`` is an immutable tuple of dense rows.  The Smith reduction
+works on sparse vectors instead: s, u and v^-1 as lists of sparse rows,
+v and u^-1 as lists of sparse columns, each a dict {index: nonzero}.
+Every elementary row or column operation moves whole rows of the first
+three and whole columns of the other two, so it is one sparse
+a += q*b, a list swap or a negation per matrix, and costs only the
+nonzeros it touches.  The five results are scattered into dense rows
+once, at the end.
 """
 
 from __future__ import annotations
@@ -99,53 +108,76 @@ def from_columns(cols, rows):
     return IntMatrix(rows, len(cols), data)
 
 
+def _axpy(a, b, q):
+    """a += q * b on sparse vectors, dropping the entries that cancel."""
+    for k, x in b.items():
+        y = a.get(k, 0) + q * x
+        if y:
+            a[k] = y
+        else:
+            del a[k]
+
+
 class _Work:
-    """Mutable workspace for the Smith reduction with transform tracking."""
+    """Sparse workspace for the Smith reduction with transform tracking.
+
+    Every vector is a dict {index: nonzero}.  s, u and v^-1 are lists of
+    sparse rows; v and u^-1 are lists of sparse columns.  A row operation
+    on s is the same operation on the rows of u and the inverse one on the
+    columns of u^-1; a column operation on s is the same operation on the
+    columns of v and the inverse one on the rows of v^-1.  So each matrix
+    is stored along the vectors its operations move: an addition is one
+    sparse a += q*b, a swap is a list swap and a negation a loop over one
+    vector's nonzeros, and none of them reads an entry that is zero.  Only
+    the column operations on s cross its rows, a lookup or two per row.
+    """
 
     def __init__(self, m: IntMatrix):
         self.nr, self.nc = m.rows, m.cols
-        self.s = [list(row) for row in m.entries]
-        self.u = [[1 if i == j else 0 for j in range(self.nr)] for i in range(self.nr)]
-        self.uinv = [row[:] for row in self.u]
-        self.v = [[1 if i == j else 0 for j in range(self.nc)] for i in range(self.nc)]
-        self.vinv = [row[:] for row in self.v]
+        self.s = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+        self.u = [{i: 1} for i in range(self.nr)]
+        self.uinv = [{i: 1} for i in range(self.nr)]
+        self.v = [{j: 1} for j in range(self.nc)]
+        self.vinv = [{j: 1} for j in range(self.nc)]
 
     def row_swap(self, i, j):
-        self.s[i], self.s[j] = self.s[j], self.s[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.uinv:
-            r[i], r[j] = r[j], r[i]
+        for rows in (self.s, self.u, self.uinv):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def row_neg(self, i):
-        self.s[i] = [-x for x in self.s[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.uinv:
-            r[i] = -r[i]
+        for vec in (self.s[i], self.u[i], self.uinv[i]):
+            for k in vec:
+                vec[k] = -vec[k]
 
     def row_add(self, i, j, q):
-        # row i += q * row j
-        self.s[i] = [a + q * b for a, b in zip(self.s[i], self.s[j])]
-        self.u[i] = [a + q * b for a, b in zip(self.u[i], self.u[j])]
-        for r in self.uinv:
-            if r[i]:
-                r[j] -= q * r[i]
+        # row i += q * row j, so column j of u^-1 -= q * column i
+        _axpy(self.s[i], self.s[j], q)
+        _axpy(self.u[i], self.u[j], q)
+        _axpy(self.uinv[j], self.uinv[i], -q)
 
     def col_swap(self, i, j):
         for r in self.s:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
-        self.vinv[i], self.vinv[j] = self.vinv[j], self.vinv[i]
+            if i in r or j in r:
+                a, b = r.pop(i, 0), r.pop(j, 0)
+                if a:
+                    r[j] = a
+                if b:
+                    r[i] = b
+        for cols in (self.v, self.vinv):
+            cols[i], cols[j] = cols[j], cols[i]
 
-    def col_add(self, i, j, q):
-        # col i += q * col j
+    def col_adds(self, j, ops):
+        """col i += ops[i] * col j for every key i of the dict ops (not j).
+
+        None of the additions writes column j, so one pass over the rows of
+        s does all of them: each row r adds r[j] * ops."""
         for r in self.s:
-            if r[j]:
-                r[i] += q * r[j]
-        for r in self.v:
-            if r[j]:
-                r[i] += q * r[j]
-        self.vinv[j] = [a - q * b for a, b in zip(self.vinv[j], self.vinv[i])]
+            x = r.get(j)
+            if x:
+                _axpy(r, ops, x)
+        for i, q in ops.items():
+            _axpy(self.v[i], self.v[j], q)
+            _axpy(self.vinv[j], self.vinv[i], -q)
 
 
 def _nearest_quotient(x, p):
@@ -157,16 +189,19 @@ def _nearest_quotient(x, p):
 def _reduce(w: _Work):
     # Euclidean reduction: the pivot's row and column are cut down to
     # remainders of at most |pivot| / 2, and the least remainder becomes
-    # the next pivot, so |pivot| strictly falls and coefficients stay small
+    # the next pivot, so |pivot| strictly falls and coefficients stay small.
+    # Rows from t on are zero left of column t and columns from t on are
+    # zero above row t, so "nonempty" below means "nonzero in the block".
     nr, nc, s = w.nr, w.nc, w.s
     t = 0
     while t < min(nr, nc):
-        # pivot: the entry of least |.| in the first nonzero row of the block
-        i = next((i for i in range(t, nr) if any(s[i][t:])), None)
+        # pivot: the entry of least (|.|, column) in the first nonzero row of
+        # the block
+        i = next((i for i in range(t, nr) if s[i]), None)
         if i is None:
             break
         row = s[i]
-        j = min((j for j in range(t, nc) if row[j]), key=lambda j: abs(row[j]))
+        j = min(row, key=lambda j: (abs(row[j]), j))
         if i != t:
             w.row_swap(t, i)
         if j != t:
@@ -175,15 +210,17 @@ def _reduce(w: _Work):
             p = s[t][t]
             # a zero quotient (|entry| <= |p| / 2) would add nothing
             for i in range(t + 1, nr):
-                q = s[i][t] and _nearest_quotient(s[i][t], p)
+                x = s[i].get(t)
+                q = x and _nearest_quotient(x, p)
                 if q:
                     w.row_add(i, t, -q)
-            for j in range(t + 1, nc):
-                q = s[t][j] and _nearest_quotient(s[t][j], p)
-                if q:
-                    w.col_add(j, t, -q)
-            rest = [(abs(s[i][t]), i, t) for i in range(t + 1, nr) if s[i][t]]
-            rest += [(abs(s[t][j]), t, j) for j in range(t + 1, nc) if s[t][j]]
+            ops = {j: -q for j, x in s[t].items()
+                   if j != t and (q := _nearest_quotient(x, p))}
+            if ops:
+                w.col_adds(t, ops)
+            rest = [(abs(x), i, t) for i in range(t + 1, nr)
+                    if (x := s[i].get(t))]
+            rest += [(abs(x), t, j) for j, x in s[t].items() if j != t]
             if not rest:
                 break
             _, i, j = min(rest)
@@ -195,7 +232,7 @@ def _reduce(w: _Work):
         # everything)
         p = s[t][t]
         offender = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, nr) if any(x % p for x in s[i][t + 1:])),
+            (i for i in range(t + 1, nr) if any(x % p for x in s[i].values())),
             None)
         if offender is not None:
             w.row_add(t, offender, 1)
@@ -205,6 +242,17 @@ def _reduce(w: _Work):
         t += 1
 
 
+def _dense(vecs, n):
+    """Sparse vectors of length n, each scattered into a tuple of zeros."""
+    out = []
+    for vec in vecs:
+        full = [0] * n
+        for k, x in vec.items():
+            full[k] = x
+        out.append(tuple(full))
+    return tuple(out)
+
+
 def snf_with_inverses(m: IntMatrix):
     """u*m*v = s with s diagonal, d1 | d2 | ..., u, v unimodular.
 
@@ -212,15 +260,12 @@ def snf_with_inverses(m: IntMatrix):
     """
     w = _Work(m)
     _reduce(w)
-    pack = lambda rows, nr, nc: IntMatrix(nr, nc, tuple(tuple(r) for r in rows))
-    return (pack(w.u, w.nr, w.nr), pack(w.s, w.nr, w.nc), pack(w.v, w.nc, w.nc),
-            pack(w.uinv, w.nr, w.nr), pack(w.vinv, w.nc, w.nc))
-
-
-def smith_normal_form(m: IntMatrix):
-    """Smith normal form: (u, s, v) with u*m*v = s."""
-    u, s, v, _, _ = snf_with_inverses(m)
-    return u, s, v
+    nr, nc = w.nr, w.nc
+    rows = lambda vecs, n: IntMatrix(len(vecs), n, _dense(vecs, n))
+    # v and u^-1 are square and held by columns
+    cols = lambda vecs, n: IntMatrix(n, n, tuple(zip(*_dense(vecs, n))))
+    return (rows(w.u, nr), rows(w.s, nc), cols(w.v, nc), cols(w.uinv, nr),
+            rows(w.vinv, nc))
 
 
 def diagonal(s: IntMatrix):
@@ -231,6 +276,6 @@ def cokernel_is_trivial(m: IntMatrix) -> bool:
     """True iff Z^rows / im(m) = 0."""
     if m.rows == 0:
         return True
-    _, s, _ = smith_normal_form(m)
+    _, s, _, _, _ = snf_with_inverses(m)
     diag = diagonal(s)
     return len(diag) >= m.rows and all(abs(d) == 1 for d in diag[:m.rows])
