@@ -13,8 +13,8 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 
-from .intmat import (IntMatrix, cokernel_is_trivial, diagonal, from_columns,
-                     snf_with_inverses)
+from .intmat import (IntMatrix, _axpy, _dense, _smith, cokernel_is_trivial,
+                     from_columns)
 
 
 class RingTag(Enum):
@@ -121,19 +121,21 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
     degrees (i+1 -> i) for homological, (i -> i+1) for cohomological.
     """
     gens = tuple(tuple(Generator(n, r) for n, r in deg) for deg in degrees)
-    names = [[g.name for g in deg] for deg in gens]
+    # name -> index; reversed so that a repeated name keeps its first index
+    index = [{g.name: i for i, g in reversed(list(enumerate(deg)))}
+             for deg in gens]
     mats = []
     for i, formula in enumerate(diffs):
         if direction is Direction.HOMOLOGICAL:
             src, tgt = i + 1, i
         else:
             src, tgt = i, i + 1
-        m = [[0] * len(names[src]) for _ in range(len(names[tgt]))]
+        m = [[0] * len(gens[src]) for _ in range(len(gens[tgt]))]
         for sname, image in formula.items():
-            c = names[src].index(sname)
+            c = index[src][sname]
             for tname, coeff in image.items():
-                m[names[tgt].index(tname)][c] += coeff
-        mats.append(IntMatrix.from_rows(m, len(names[src])))
+                m[index[tgt][tname]][c] += coeff
+        mats.append(IntMatrix.from_rows(m, len(gens[src])))
     return MixedComplex(direction, gens, tuple(mats))
 
 
@@ -212,34 +214,40 @@ def _check_degree(cx: MixedComplex, deg: int):
         raise ComplexError(f"degree {deg} out of range 0..{cx.top_degree}")
 
 
-def _lift(cx: MixedComplex, deg: int, x):
+def _lift(cx: MixedComplex, deg: int, x: dict):
     """x followed by y with d_out x + 2y = 0 on the torsion targets.
 
-    This is the unique preimage of x in the kernel of [d_out | relations];
-    None when x is not a cycle, that is when d_out x has a nonzero free
-    entry or an odd torsion entry.
+    Both are sparse, {index: nonzero}.  This is the unique preimage of x in
+    the kernel of [d_out | relations]; None when x is not a cycle, that is
+    when d_out x has a nonzero free entry or an odd torsion entry.
     """
     out = cx.out_diff(deg)
     if out is None:
-        return tuple(x)
+        return dict(x)
     d_out, tgt = out
-    y = []
-    for g, e in zip(cx.generators[tgt], d_out.apply(x)):
-        if g.ring is RingTag.TWO_TORSION and e % 2 == 0:
-            y.append(-e // 2)
-        elif e != 0:
-            return None
-    return tuple(x) + tuple(y)
+    image = {}
+    for j, c in x.items():
+        for i, a in d_out.sparse_columns[j].items():
+            image[i] = image.get(i, 0) + c * a
+    n = cx.n(deg)
+    slot = {i: n + k for k, i in enumerate(cx.torsion_indices(tgt))}
+    lifted = dict(x)
+    for i, e in image.items():
+        if e:
+            if i not in slot or e % 2:
+                return None
+            lifted[slot[i]] = -e // 2
+    return lifted
 
 
 @functools.lru_cache(maxsize=64)
 def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """Homology (or cohomology, per direction) at the given degree.
 
-    Two Smith reductions: one of [d_out | relations], whose kernel columns
-    of v are the cycle lattice and whose matching rows of v^-1 give the
-    coordinates of any cycle in it, and one of the boundaries written in
-    those coordinates.
+    Two sparse Smith reductions: one of [d_out | relations], tracking only
+    v and v^-1, whose kernel columns of v are the cycle lattice and whose
+    matching rows of v^-1 give the coordinates of any cycle in it, and one
+    of the boundaries in those coordinates, tracking only u and u^-1.
 
     The 64 most recently used (complex, degree) pairs are memoized; keys
     compare complexes by value, and the bound keeps a long run over many
@@ -253,23 +261,31 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     else:
         d_out, tgt = out
         stacked = d_out.hstack(cx.relations(tgt))
-    _, s, v, _, vinv = snf_with_inverses(stacked)
-    diag = diagonal(s)
+    w = _smith(stacked, v=True)
+    diag = w.diagonal()
     ker = [j for j in range(stacked.cols) if j >= len(diag) or diag[j] == 0]
     # u*m*v = s makes every other coordinate of a kernel vector vanish, and
     # dropping the relation rows is injective on the kernel
-    k_basis = v.submatrix(range(n), ker)
-    to_cycle = vinv.submatrix(ker, range(stacked.cols))
+    k_basis = [{i: x for i, x in w.v[j].items() if i < n} for j in ker]
+    to_cycle = [w.vinv[j] for j in ker]
     inn = cx.in_diff(deg)
-    b = cx.relations(deg)
-    if inn is not None:
-        b = inn[0].hstack(b)
-    lifts = [_lift(cx, deg, col) for col in b.columns()]
+    b = list(inn[0].sparse_columns) if inn is not None else []
+    b += [{i: 2} for i in cx.torsion_indices(deg)]
+    lifts = [_lift(cx, deg, col) for col in b]
     if None in lifts:
         raise ComplexError("image does not lie in the cycle lattice")
-    y = to_cycle.mul(from_columns(lifts, stacked.cols))
-    u2, s2, _, u2inv, _ = snf_with_inverses(y)
-    diag = diagonal(s2)
+    # y = to_cycle * lifts, reading to_cycle by the columns it is nonzero in
+    by_col = {}
+    for r, row in enumerate(to_cycle):
+        for m, x in row.items():
+            by_col.setdefault(m, []).append((r, x))
+    y = [[0] * len(lifts) for _ in ker]
+    for c, lift in enumerate(lifts):
+        for m, a in lift.items():
+            for r, x in by_col.get(m, ()):
+                y[r][c] += a * x
+    w2 = _smith(IntMatrix(len(ker), len(lifts), tuple(map(tuple, y))), u=True)
+    diag = w2.diagonal()
     free_pos, tors_pos = [], []
     for i in range(len(ker)):
         d = diag[i] if i < len(diag) else 0
@@ -278,14 +294,18 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
         elif d >= 2:
             tors_pos.append((i, d))
     positions = tuple(free_pos + tors_pos)
-    basis_mat = k_basis.mul(u2inv)
-    cycles = tuple(basis_mat.column(i) for i, _ in positions)
+    # basis cycle i is k_basis times column i of u^-1, for kept i only
+    cycles = [{} for _ in positions]
+    for cyc, (i, _) in zip(cycles, positions):
+        for m, x in w2.uinv[i].items():
+            _axpy(cyc, k_basis[m], x)
     return AbelianGroupPresentation(
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
-        basis_cycles=cycles,
-        _to_cycle=to_cycle,
-        _coord_map=u2,
+        basis_cycles=_dense(cycles, n),
+        _to_cycle=IntMatrix(len(ker), stacked.cols,
+                            _dense(to_cycle, stacked.cols)),
+        _coord_map=IntMatrix(len(ker), len(ker), _dense(w2.u, len(ker))),
         _positions=positions)
 
 
@@ -301,10 +321,12 @@ def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     if len(cycle) != cx.n(deg):
         raise ComplexError(f"vector has {len(cycle)} entries, degree {deg} "
                            f"has {cx.n(deg)} generators")
-    lifted = _lift(cx, deg, cycle)
+    lifted = _lift(cx, deg, {j: c for j, c in enumerate(cycle) if c})
     if lifted is None:
         raise NotACycleError("vector is not a cycle at this degree")
-    u = pres._coord_map.apply(pres._to_cycle.apply(lifted))
+    to_cycle = pres._to_cycle
+    u = pres._coord_map.apply(to_cycle.apply(
+        [lifted.get(j, 0) for j in range(to_cycle.cols)]))
     return tuple(u[i] if d == 0 else u[i] % d for i, d in pres._positions)
 
 

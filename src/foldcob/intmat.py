@@ -9,13 +9,18 @@ v and u^-1 as lists of sparse columns, each a dict {index: nonzero}.
 Every elementary row or column operation moves whole rows of the first
 three and whole columns of the other two, so it is one sparse
 a += q*b, a list swap or a negation per matrix, and costs only the
-nonzeros it touches.  The five results are scattered into dense rows
-once, at the end.
+nonzeros it touches.  Pivots depend on s alone, so ``_smith`` tracks
+only the sides its caller reads: homology's reduction of a differential
+beside its torsion relations tracks v and v^-1, its reduction of the
+boundaries in cycle coordinates u and u^-1, ``cokernel_is_trivial``
+neither.  ``snf_with_inverses`` tracks both and scatters the five
+results into dense rows once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -65,9 +70,7 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, tuple(data))
 
     def transpose(self) -> "IntMatrix":
-        data = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                     for j in range(self.cols))
-        return IntMatrix(self.cols, self.rows, data)
+        return IntMatrix(self.cols, self.rows, tuple(self.columns()))
 
     def mod2(self) -> "IntMatrix":
         data = tuple(tuple(x % 2 for x in row) for row in self.entries)
@@ -79,13 +82,16 @@ class IntMatrix:
         data = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
         return IntMatrix(self.rows, self.cols + other.cols, data)
 
-    def column(self, j):
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def columns(self):
         if not self.rows:
             return [()] * self.cols
         return list(zip(*self.entries))
+
+    @cached_property
+    def sparse_columns(self):
+        """Each column as a dict {row: nonzero}, built once per matrix."""
+        return tuple({i: x for i, x in enumerate(col) if x}
+                     for col in self.columns())
 
     def apply(self, vec):
         if len(vec) != self.cols:
@@ -130,15 +136,20 @@ class _Work:
     sparse a += q*b, a swap is a list swap and a negation a loop over one
     vector's nonzeros, and none of them reads an entry that is zero.  Only
     the column operations on s cross its rows, a lookup or two per row.
+    An untracked side (u, u^-1 unless ``u``; v, v^-1 unless ``v``) starts
+    as zero vectors, which every operation leaves zero.
     """
 
-    def __init__(self, m: IntMatrix):
+    def __init__(self, m: IntMatrix, u: bool, v: bool):
         self.nr, self.nc = m.rows, m.cols
         self.s = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
-        self.u = [{i: 1} for i in range(self.nr)]
-        self.uinv = [{i: 1} for i in range(self.nr)]
-        self.v = [{j: 1} for j in range(self.nc)]
-        self.vinv = [{j: 1} for j in range(self.nc)]
+        self.u = [{i: 1} if u else {} for i in range(self.nr)]
+        self.uinv = [{i: 1} if u else {} for i in range(self.nr)]
+        self.v = [{j: 1} if v else {} for j in range(self.nc)]
+        self.vinv = [{j: 1} if v else {} for j in range(self.nc)]
+
+    def diagonal(self):
+        return [self.s[i].get(i, 0) for i in range(min(self.nr, self.nc))]
 
     def row_swap(self, i, j):
         for rows in (self.s, self.u, self.uinv):
@@ -253,13 +264,20 @@ def _dense(vecs, n):
     return tuple(out)
 
 
+def _smith(m: IntMatrix, u=False, v=False) -> _Work:
+    """m reduced to s = diag(d1 | d2 | ...) in a sparse workspace that
+    tracks u, u^-1 only if ``u`` and v, v^-1 only if ``v``."""
+    w = _Work(m, u, v)
+    _reduce(w)
+    return w
+
+
 def snf_with_inverses(m: IntMatrix):
     """u*m*v = s with s diagonal, d1 | d2 | ..., u, v unimodular.
 
     Returns (u, s, v, uinv, vinv).
     """
-    w = _Work(m)
-    _reduce(w)
+    w = _smith(m, u=True, v=True)
     nr, nc = w.nr, w.nc
     rows = lambda vecs, n: IntMatrix(len(vecs), n, _dense(vecs, n))
     # v and u^-1 are square and held by columns
@@ -276,6 +294,5 @@ def cokernel_is_trivial(m: IntMatrix) -> bool:
     """True iff Z^rows / im(m) = 0."""
     if m.rows == 0:
         return True
-    _, s, _, _, _ = snf_with_inverses(m)
-    diag = diagonal(s)
+    diag = _smith(m).diagonal()
     return len(diag) >= m.rows and all(abs(d) == 1 for d in diag[:m.rows])

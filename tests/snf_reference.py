@@ -1,15 +1,26 @@
-"""Reference Smith reduction on dense rows, one index per entry.
+"""Reference Smith reduction on dense rows, one index per entry, and the
+dense homology built on it.
 
 This is the elimination the library runs, with the same elementary
 operations in the same order and the same least-|pivot| rule, but every
 matrix is a list of dense rows and every operation walks whole rows and
 columns.  The library keeps its workspace sparse; the differential tests
 require the two to return the same five matrices entry for entry.
+
+``homology``, ``_lift`` and ``express_class`` below compute the
+library's presentations and classes densely: both transforms of both
+reductions scattered into dense matrices, one dense matrix-vector product
+per lift and dense products after them.  The library reads only the
+transforms it needs and keeps them sparse; the differential tests require
+the same presentation, field for field, and the same classes.
 """
 
 from __future__ import annotations
 
-from foldcob.intmat import IntMatrix
+from foldcob.complexes import (AbelianGroupPresentation, ComplexError,
+                               MixedComplex, NotACycleError, RingTag,
+                               _check_degree)
+from foldcob.intmat import IntMatrix, diagonal, from_columns
 
 
 class _Work:
@@ -128,3 +139,88 @@ def snf_with_inverses(m: IntMatrix):
     pack = lambda rows, nr, nc: IntMatrix(nr, nc, tuple(tuple(r) for r in rows))
     return (pack(w.u, w.nr, w.nr), pack(w.s, w.nr, w.nc), pack(w.v, w.nc, w.nc),
             pack(w.uinv, w.nr, w.nr), pack(w.vinv, w.nc, w.nc))
+
+
+def _lift(cx: MixedComplex, deg: int, x):
+    """x followed by y with d_out x + 2y = 0 on the torsion targets.
+
+    This is the unique preimage of x in the kernel of [d_out | relations];
+    None when x is not a cycle, that is when d_out x has a nonzero free
+    entry or an odd torsion entry.
+    """
+    out = cx.out_diff(deg)
+    if out is None:
+        return tuple(x)
+    d_out, tgt = out
+    y = []
+    for g, e in zip(cx.generators[tgt], d_out.apply(x)):
+        if g.ring is RingTag.TWO_TORSION and e % 2 == 0:
+            y.append(-e // 2)
+        elif e != 0:
+            return None
+    return tuple(x) + tuple(y)
+
+
+def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
+    """Homology (or cohomology, per direction) at the given degree.
+
+    Two Smith reductions: one of [d_out | relations], whose kernel columns
+    of v are the cycle lattice and whose matching rows of v^-1 give the
+    coordinates of any cycle in it, and one of the boundaries written in
+    those coordinates.  Nothing is cached.
+    """
+    _check_degree(cx, deg)
+    n = cx.n(deg)
+    out = cx.out_diff(deg)
+    if out is None:
+        stacked = IntMatrix.zero(0, n)
+    else:
+        d_out, tgt = out
+        stacked = d_out.hstack(cx.relations(tgt))
+    _, s, v, _, vinv = snf_with_inverses(stacked)
+    diag = diagonal(s)
+    ker = [j for j in range(stacked.cols) if j >= len(diag) or diag[j] == 0]
+    # u*m*v = s makes every other coordinate of a kernel vector vanish, and
+    # dropping the relation rows is injective on the kernel
+    k_basis = v.submatrix(range(n), ker)
+    to_cycle = vinv.submatrix(ker, range(stacked.cols))
+    inn = cx.in_diff(deg)
+    b = cx.relations(deg)
+    if inn is not None:
+        b = inn[0].hstack(b)
+    lifts = [_lift(cx, deg, col) for col in b.columns()]
+    if None in lifts:
+        raise ComplexError("image does not lie in the cycle lattice")
+    y = to_cycle.mul(from_columns(lifts, stacked.cols))
+    u2, s2, _, u2inv, _ = snf_with_inverses(y)
+    diag = diagonal(s2)
+    free_pos, tors_pos = [], []
+    for i in range(len(ker)):
+        d = diag[i] if i < len(diag) else 0
+        if d == 0:
+            free_pos.append((i, 0))
+        elif d >= 2:
+            tors_pos.append((i, d))
+    positions = tuple(free_pos + tors_pos)
+    basis_mat = k_basis.mul(u2inv).columns()
+    cycles = tuple(basis_mat[i] for i, _ in positions)
+    return AbelianGroupPresentation(
+        free_rank=len(free_pos),
+        torsion=tuple(d for _, d in tors_pos),
+        basis_cycles=cycles,
+        _to_cycle=to_cycle,
+        _coord_map=u2,
+        _positions=positions)
+
+
+def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
+    """Coordinates of a cycle's class in the basis of ``homology`` above."""
+    pres = homology(cx, deg)
+    if len(cycle) != cx.n(deg):
+        raise ComplexError(f"vector has {len(cycle)} entries, degree {deg} "
+                           f"has {cx.n(deg)} generators")
+    lifted = _lift(cx, deg, cycle)
+    if lifted is None:
+        raise NotACycleError("vector is not a cycle at this degree")
+    u = pres._coord_map.apply(pres._to_cycle.apply(lifted))
+    return tuple(u[i] if d == 0 else u[i] % d for i, d in pres._positions)

@@ -7,7 +7,7 @@ from foldcob.complexes import (ChainMap, ComplexError, Direction, Generator,
                                express_class, hom_dual, homology, induced_map,
                                make_complex, validate_chain_map,
                                validate_complex, zero_complex)
-from foldcob.intmat import IntMatrix, diagonal, snf_with_inverses
+from foldcob.intmat import IntMatrix, _smith, diagonal, snf_with_inverses
 
 from test_intmat import frac_rank
 
@@ -157,14 +157,20 @@ def test_express_class_recovers_mixed_coefficients(d1_rows, mix_rows,
         check_express_recovers_coefficients(cx, deg, data)
 
 
-def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
+def _count_reductions(monkeypatch):
+    """Record the sides each Smith reduction of homology tracks."""
     calls = []
 
-    def counting(m):
-        calls.append(m)
-        return snf_with_inverses(m)
+    def counting(m, u=False, v=False):
+        calls.append((u, v))
+        return _smith(m, u=u, v=v)
 
-    monkeypatch.setattr("foldcob.complexes.snf_with_inverses", counting)
+    monkeypatch.setattr("foldcob.complexes._smith", counting)
+    return calls
+
+
+def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
+    calls = _count_reductions(monkeypatch)
     cx = make_complex(
         Direction.HOMOLOGICAL,
         [[("two_snf_x", RingTag.FREE)], [("two_snf_y", RingTag.FREE),
@@ -176,6 +182,8 @@ def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
         calls.clear()
         homology(cx, deg)
         assert len(calls) == 2
+        # v, v^-1 of the first reduction, u, u^-1 of the second
+        assert calls == [(False, True), (True, False)]
     calls.clear()
     assert express_class(cx, 1, (0, 1)) == (1,)
     assert express_class(cx, 0, (3,)) == (1,)
@@ -196,13 +204,7 @@ def test_homology_cache_is_bounded():
 
 
 def test_homology_cache_keeps_recent_presentation(monkeypatch):
-    calls = []
-
-    def counting(m):
-        calls.append(m)
-        return snf_with_inverses(m)
-
-    monkeypatch.setattr("foldcob.complexes.snf_with_inverses", counting)
+    calls = _count_reductions(monkeypatch)
     maxsize = homology.cache_info().maxsize
     cx = make_complex(
         Direction.HOMOLOGICAL,

@@ -1,10 +1,14 @@
-"""The sparse Smith workspace against the dense reference engine.
+"""The sparse Smith workspace and sparse homology against the dense
+reference.
 
 Both engines run the same elementary operations with the same pivots, so
-every transform, and every homology presentation built from them, must
-agree entry for entry.
+every transform must agree entry for entry.  The library's homology reads
+only the transforms it needs and keeps them sparse; the reference's is
+the dense one, so every presentation, field by field, and every class
+``express_class`` gives must agree too.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -12,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foldcob.catalog import CatalogId, catalog
-from foldcob.complexes import (Direction, RingTag, hom_dual, homology,
-                               make_complex)
-from foldcob.intmat import IntMatrix, snf_with_inverses
+from foldcob.complexes import (Direction, NotACycleError, RingTag,
+                               express_class, hom_dual, homology, make_complex)
+from foldcob.intmat import IntMatrix, _dense, _smith, snf_with_inverses
 
 import snf_reference as ref
+from test_complexes import build_mixed_complex, small_mats
 
 dims = st.integers(0, 12)
 ENTRIES = {
@@ -55,6 +60,13 @@ def test_sparse_engine_matches_dense_reference(m):
     for g in got:
         assert type(g.entries) is tuple
         assert all(type(row) is tuple for row in g.entries)
+    # pivots depend on s alone: tracking one side or neither ends with the
+    # same s and the same transforms on the tracked side
+    for u, v in ((True, False), (False, True), (False, False)):
+        w = _smith(m, u=u, v=v)
+        assert _dense(w.s, m.cols) == want[1].entries
+        assert not u or _dense(w.u, m.rows) == want[0].entries
+        assert not v or _dense(w.vinv, m.cols) == want[4].entries
 
 
 def _triangle_complex(rng, nverts, ntris):
@@ -84,14 +96,52 @@ def _complexes():
                   for g in (RingTag.FREE, RingTag.TWO_TORSION)]
 
 
-def test_presentations_match_dense_reference(monkeypatch):
-    compute = homology.__wrapped__    # no cache: each engine computes
+def _same_presentation(got, want, case):
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), (case, f.name)
+    assert repr(got) == repr(want), case
+
+
+def test_presentations_match_dense_reference():
+    compute = homology.__wrapped__    # no cache: computed every time
     cases = [(cx, deg) for cx in _complexes()
              for deg in range(cx.top_degree + 1)]
-    sparse = [compute(cx, deg) for cx, deg in cases]
-    monkeypatch.setattr("foldcob.complexes.snf_with_inverses",
-                        ref.snf_with_inverses)
-    dense = [compute(cx, deg) for cx, deg in cases]
     assert len(cases) > 60
-    for case, got, want in zip(cases, sparse, dense):
-        assert got == want, case
+    for cx, deg in cases:
+        _same_presentation(compute(cx, deg), ref.homology(cx, deg), (cx, deg))
+
+
+def _class_or_error(express, cx, deg, vec):
+    try:
+        return express(cx, deg, vec)
+    except NotACycleError:
+        return NotACycleError
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_mats, small_mats, st.lists(st.booleans(), min_size=12, max_size=12),
+       st.data())
+def test_mixed_presentations_and_classes_match_dense_reference(
+        d1_rows, mix_rows, torsion_seeds, data):
+    cx = build_mixed_complex(d1_rows, mix_rows, torsion_seeds)
+    for deg in range(3):
+        want = ref.homology(cx, deg)
+        _same_presentation(homology.__wrapped__(cx, deg), want, deg)
+        # basis cycles, boundaries, torsion relations and arbitrary vectors,
+        # the last ones mostly not cycles
+        vecs = [list(c) for c in want.basis_cycles]
+        vecs += [list(col) for col in
+                 (cx.in_diff(deg)[0].columns() if cx.in_diff(deg) else [])]
+        vecs += [[2 if i == t else 0 for i in range(cx.n(deg))]
+                 for t in cx.torsion_indices(deg)]
+        vecs += data.draw(st.lists(
+            st.lists(st.integers(-4, 4), min_size=cx.n(deg),
+                     max_size=cx.n(deg)), max_size=4))
+        for coeffs in data.draw(st.lists(
+                st.lists(st.integers(-3, 3), min_size=len(vecs),
+                         max_size=len(vecs)), max_size=4)):
+            vecs.append([sum(c * v[i] for c, v in zip(coeffs, vecs))
+                         for i in range(cx.n(deg))])
+        for vec in vecs:
+            assert (_class_or_error(express_class, cx, deg, vec)
+                    == _class_or_error(ref.express_class, cx, deg, vec)), vec
