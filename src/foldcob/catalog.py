@@ -5,6 +5,11 @@ of fiber components) or ``e`` (even); the auxiliary degree-2 generator
 of the free approximation is plain ``A``.  Within each degree the
 generators are ordered by class name (ASCII lexicographic) with ``o``
 before ``e``; ``A`` is appended last.
+
+The n=2 complexes (CO21, C21_Z2 and the source of the suspension chain
+map) are the degree-0 and degree-1 truncations of the n=3 ones.  CO32
+and C32_Z2 stay typed out by hand, although they are the duals of V32:
+they are the independent reference that hom_dual(V32) is checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +19,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
-                        RingTag, hom_dual, homology, induced_is_isomorphism,
-                        induced_map, is_surjective_on_degree, make_complex,
+                        RingTag, _dual_matrix, _is_isomorphism, hom_dual,
+                        homology, induced_is_isomorphism, induced_map,
+                        is_surjective_on_degree, make_complex,
                         validate_chain_map, validate_complex)
 from .intmat import IntMatrix
 
@@ -103,11 +109,18 @@ def _both(formula_per_class):
 
 
 _ALL_FOLDS = {"I0_o": 1, "I0_e": 1, "I1_o": 1, "I1_e": 1}
+# the integer coboundary out of degree 0 of the closed catalogs
+_DELTA0 = {"0_o": dict(_ALL_FOLDS),
+           "0_e": {k: -v for k, v in _ALL_FOLDS.items()}}
+
+
+def _truncated(cx: MixedComplex) -> MixedComplex:
+    """The n=2 complex of an n=3 one: degrees 0 and 1 and the
+    differential between them."""
+    return MixedComplex(cx.direction, cx.generators[:2], cx.differentials[:1])
 
 
 def _co32():
-    delta0 = {"0_o": dict(_ALL_FOLDS),
-              "0_e": {k: -v for k, v in _ALL_FOLDS.items()}}
     delta1 = {"I0_o": {"II01_o": 1, "II01_e": -1},
               "I0_e": {"II01_o": 1, "II01_e": -1},
               "I1_o": {"II01_o": -1, "II01_e": 1},
@@ -117,20 +130,9 @@ def _co32():
         [_gens(_ordered(["0"]), _free),
          _gens(_ordered(["I0", "I1"]), _free),
          _gens(_ordered(["II01"]), _free)],
-        [delta0, delta1])
+        [_DELTA0, delta1])
 
 
-def _co21():
-    delta0 = {"0_o": dict(_ALL_FOLDS),
-              "0_e": {k: -v for k, v in _ALL_FOLDS.items()}}
-    return make_complex(
-        Direction.COHOMOLOGICAL,
-        [_gens(_ordered(["0"]), _free),
-         _gens(_ordered(["I0", "I1"]), _free)],
-        [delta0])
-
-
-_Z2_DELTA0 = {"0_o": dict(_ALL_FOLDS), "0_e": dict(_ALL_FOLDS)}
 _Z2_DELTA1 = _both({
     "I0": {"II01_o": 1, "II01_e": 1},
     "I1": {"II01_o": 1, "II01_e": 1},
@@ -149,15 +151,7 @@ def _c32_z2(simple=False):
         [_gens(_ordered(["0"]), _z2),
          _gens(_ordered(["I0", "I1", "I2"]), _z2),
          _gens(_ordered(deg2), _z2)],
-        [dict(_Z2_DELTA0), delta1])
-
-
-def _c21_z2():
-    return make_complex(
-        Direction.COHOMOLOGICAL,
-        [_gens(_ordered(["0"]), _z2),
-         _gens(_ordered(["I0", "I1", "I2"]), _z2)],
-        [dict(_Z2_DELTA0)])
+        [{"0_o": _ALL_FOLDS, "0_e": _ALL_FOLDS}, delta1])
 
 
 _V32_D1 = _both({
@@ -202,8 +196,6 @@ def _f32():
 
 
 def _cusp32():
-    delta0 = {"0_o": dict(_ALL_FOLDS),
-              "0_e": {k: -v for k, v in _ALL_FOLDS.items()}}
     delta1 = {"I0_o": {"II01_o": 1, "II01_e": -1, "IIa_e": 1},
               "I0_e": {"II01_o": 1, "II01_e": -1, "IIa_o": -1},
               "I1_o": {"II01_o": -1, "II01_e": 1, "IIa_o": 1},
@@ -213,7 +205,7 @@ def _cusp32():
         [_gens(_ordered(["0"]), _free),
          _gens(_ordered(["I0", "I1"]), _free),
          _gens(_ordered(["II01", "IIa"]), _free)],
-        [delta0, delta1])
+        [_DELTA0, delta1])
 
 
 def _bcusp32():
@@ -247,10 +239,10 @@ _BUILDERS = {
     CatalogId.CO32_ORI: _co32,
     CatalogId.SCO32: _co32,
     CatalogId.SCO32_ORI: _co32,
-    CatalogId.CO21: _co21,
+    CatalogId.CO21: lambda: _truncated(catalog(CatalogId.CO32)),
     CatalogId.C32_Z2: _c32_z2,
     CatalogId.C32_Z2_SIMPLE: lambda: _c32_z2(simple=True),
-    CatalogId.C21_Z2: _c21_z2,
+    CatalogId.C21_Z2: lambda: _truncated(catalog(CatalogId.C32_Z2)),
     CatalogId.V32: _v32,
     CatalogId.F32: _f32,
     CatalogId.CUSP32: _cusp32,
@@ -269,15 +261,6 @@ def catalog(catalog_id: CatalogId) -> MixedComplex:
     return cx
 
 
-def _v21():
-    """Degree-truncated n=2 analogue of V32 (internal suspension source)."""
-    return make_complex(
-        Direction.HOMOLOGICAL,
-        [_gens(_ordered(["0"]), _v32_ring),
-         _gens(_ordered(["I0", "I1", "I2"]), _v32_ring)],
-        [_V32_D1])
-
-
 @dataclass(frozen=True)
 class SuspensionMaps:
     """Name-preserving chain map from the n=2 to the n=3 complex, with
@@ -289,27 +272,22 @@ class SuspensionMaps:
 @functools.lru_cache(maxsize=None)
 def suspension_map(variant: str) -> SuspensionMaps:
     """variant 'co_Z': pullback CO32 -> CO21; 'full_Z2': C32_Z2 -> C21_Z2."""
-    if variant not in ("co_Z", "full_Z2"):
+    ids = {"co_Z": (CatalogId.CO32, CatalogId.CO21),
+           "full_Z2": (CatalogId.C32_Z2, CatalogId.C21_Z2)}.get(variant)
+    if ids is None:
         raise ValueError(f"unknown suspension variant {variant!r}")
-    v21, v32 = _v21(), catalog(CatalogId.V32)
-    chain = ChainMap(v21, v32,
-                     (IntMatrix.identity(2), IntMatrix.identity(6)))
-    if validate_chain_map(chain):
-        raise ComplexError("suspension chain map fails chain condition")
-    if variant == "co_Z":
-        src = catalog(CatalogId.CO32)
-        tgt = catalog(CatalogId.CO21)
-        mats = (IntMatrix.identity(2), IntMatrix.identity(4))
-    else:
-        src = catalog(CatalogId.C32_Z2)
-        tgt = catalog(CatalogId.C21_Z2)
-        mats = (IntMatrix.identity(2), IntMatrix.identity(6))
-    pullback = ChainMap(src, tgt, mats)
-    if validate_chain_map(pullback):
-        raise ComplexError("suspension pullback fails chain condition")
+    v32 = catalog(CatalogId.V32)
+    # both maps are the identity on the generators of degrees 0 and 1
+    chain, pullback = (
+        ChainMap(src, tgt, tuple(IntMatrix.identity(tgt.n(d)) for d in (0, 1)))
+        for src, tgt in ((_truncated(v32), v32), tuple(map(catalog, ids))))
+    for f, what in ((chain, "chain map"), (pullback, "pullback")):
+        if validate_chain_map(f):
+            raise ComplexError(f"suspension {what} fails chain condition")
     return SuspensionMaps(chain, pullback)
 
 
+@functools.lru_cache(maxsize=None)
 def free_approximation(v: MixedComplex):
     """The all-free resolution of the mixed closed catalog.
 
@@ -321,15 +299,11 @@ def free_approximation(v: MixedComplex):
         raise ComplexError("free approximation is defined for the V32 "
                            "catalog only")
     f = catalog(CatalogId.F32)
-    mats = []
-    for d in range(3):
-        m = [[0] * f.n(d) for _ in range(v.n(d))]
-        names = v.names(d)
-        for c, g in enumerate(f.generators[d]):
-            if g.name in names:
-                m[names.index(g.name)][c] = 1
-        mats.append(IntMatrix.from_rows(m, f.n(d)))
-    lam = ChainMap(f, v, tuple(mats))
+    # each generator of f goes to the one of v with its name, A to zero
+    lam = ChainMap(f, v, tuple(
+        IntMatrix.from_rows([[int(g.name == h.name) for g in f.generators[d]]
+                             for h in v.generators[d]], f.n(d))
+        for d in range(3)))
     bad = validate_chain_map(lam)
     if bad:
         raise ComplexError(f"collapse map fails: {bad[0]}")
@@ -358,23 +332,15 @@ def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
     f, lam = free_approximation(v)
     dual_v = hom_dual(v, g)
     dual_f = hom_dual(f, g)
-    mats = []
-    for d in range(3):
-        lm = lam.matrices[d]
-        if g is RingTag.FREE:
-            keep = [i for i, gen in enumerate(v.generators[d])
-                    if gen.ring is RingTag.FREE]
-            m = lm.submatrix(keep, range(f.n(d))).transpose()
-        else:
-            m = lm.transpose().mod2()
-        mats.append(m)
-    dual_lam = ChainMap(dual_v, dual_f, tuple(mats))
+    dual_lam = ChainMap(dual_v, dual_f, tuple(
+        _dual_matrix(m, v.generators[d], f.generators[d], g)
+        for d, m in enumerate(lam.matrices)))
     bad = validate_chain_map(dual_lam)
     if bad:
         raise ComplexError(f"dualized collapse map fails: {bad[0]}")
     group = homology(dual_f, deg)
     comparison = induced_map(dual_lam, deg)
-    iso = induced_is_isomorphism(dual_lam, deg)
+    iso = _is_isomorphism(homology(dual_v, deg), group, lambda: comparison)
     return Hypercohomology(group, comparison, iso)
 
 

@@ -13,7 +13,7 @@ import sys
 from . import selftest
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, hypercohomology, suspension_map)
-from .complexes import Direction, RingTag, homology, induced_map
+from .complexes import RingTag, homology, induced_map
 from .diagrams import (cusp_count_boundary, cusp_count_closed,
                        diagram_from_json, BoundaryMode)
 from .intmat import IntMatrix
@@ -57,10 +57,7 @@ def _cmd_catalog(args) -> int:
         gens.append(row)
     diffs = []
     for i, m in enumerate(cx.differentials):
-        if cx.direction is Direction.HOMOLOGICAL:
-            frm, to = i + 1, i
-        else:
-            frm, to = i, i + 1
+        frm, to = cx.ends(i)
         diffs.append({"from": frm, "to": to, "matrix": _matrix_rows(m)})
     return _emit({"id": args.id,
                   "direction": cx.direction.value,

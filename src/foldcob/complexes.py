@@ -45,15 +45,38 @@ class NotACycleError(ValueError):
 class MixedComplex:
     """Finite complex in degrees 0..K.
 
-    For HOMOLOGICAL direction, differentials[i] maps degree i+1 to
-    degree i; for COHOMOLOGICAL, differentials[i] maps degree i to
-    degree i+1.  Entry [r][c] is the coefficient of target generator r
-    in the image of source generator c.
+    differentials[i] maps the generators of one degree to those of the
+    next, as ``ends(i)`` says.  Entry [r][c] is the coefficient of target
+    generator r in the image of source generator c.
     """
 
     direction: Direction
     generators: tuple[tuple[Generator, ...], ...]
     differentials: tuple[IntMatrix, ...]
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: pickle the fields, not the hash
+        return MixedComplex, (self.direction, self.generators,
+                              self.differentials)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # by value, as a frozen dataclass hashes, but computed once
+        return hash((self.direction, self.generators, self.differentials))
+
+    def ends(self, i: int) -> tuple[int, int]:
+        """(source degree, target degree) of differentials[i]: i+1 -> i
+        for HOMOLOGICAL, i -> i+1 for COHOMOLOGICAL."""
+        if self.direction is Direction.HOMOLOGICAL:
+            return i + 1, i
+        return i, i + 1
+
+    def _diffs(self):
+        """(matrix, source degree, target degree) of each differential."""
+        return [(m, *self.ends(i)) for i, m in enumerate(self.differentials)]
 
     @property
     def top_degree(self) -> int:
@@ -86,23 +109,23 @@ class MixedComplex:
 
     def out_diff(self, deg: int):
         """(matrix, target degree) for the differential leaving deg, or None."""
-        if self.direction is Direction.HOMOLOGICAL:
-            if deg >= 1:
-                return self.differentials[deg - 1], deg - 1
-        else:
-            if deg < self.top_degree:
-                return self.differentials[deg], deg + 1
-        return None
+        return next(((m, t) for m, s, t in self._diffs() if s == deg), None)
 
     def in_diff(self, deg: int):
         """(matrix, source degree) for the differential entering deg, or None."""
-        if self.direction is Direction.HOMOLOGICAL:
-            if deg < self.top_degree:
-                return self.differentials[deg], deg + 1
-        else:
-            if deg >= 1:
-                return self.differentials[deg - 1], deg - 1
-        return None
+        return next(((m, s) for m, s, t in self._diffs() if t == deg), None)
+
+    @functools.cached_property
+    def _out_slots(self):
+        """Per degree, None at the end of the complex, else the
+        differential leaving it and, for each torsion generator of its
+        target, the column of [d_out | relations] holding its relation."""
+        out = [None] * (self.top_degree + 1)
+        for d_out, src, tgt in self._diffs():
+            n = self.n(src)
+            out[src] = d_out, {r: n + k for k, r
+                               in enumerate(self.torsion_indices(tgt))}
+        return tuple(out)
 
     def chain(self, deg: int, coeffs: dict[str, int]):
         """Integer vector for a formal sum given as {generator name: coeff}."""
@@ -117,19 +140,17 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
 
     degrees: list (per degree) of (name, RingTag) pairs.
     diffs: list of dicts, one per differential, mapping a source
-    generator name to {target name: coefficient}.  diffs[i] connects
-    degrees (i+1 -> i) for homological, (i -> i+1) for cohomological.
+    generator name to {target name: coefficient}; diffs[i] connects the
+    degrees ``MixedComplex.ends(i)``.
     """
     gens = tuple(tuple(Generator(n, r) for n, r in deg) for deg in degrees)
+    shell = MixedComplex(direction, gens, ())
     # name -> index; reversed so that a repeated name keeps its first index
     index = [{g.name: i for i, g in reversed(list(enumerate(deg)))}
              for deg in gens]
     mats = []
     for i, formula in enumerate(diffs):
-        if direction is Direction.HOMOLOGICAL:
-            src, tgt = i + 1, i
-        else:
-            src, tgt = i, i + 1
+        src, tgt = shell.ends(i)
         m = [[0] * len(gens[src]) for _ in range(len(gens[tgt]))]
         for sname, image in formula.items():
             c = index[src][sname]
@@ -149,47 +170,50 @@ class Violation:
         return f"{self.kind} at degree {self.degree}: {self.detail}"
 
 
+def _torsion_to_free(m: IntMatrix, src_gens, tgt_gens):
+    """(row, col) of each nonzero entry of m from a Z2 generator into a Z
+    generator; Hom(Z2, Z) = 0, so every such entry must be 0."""
+    return [(r, c) for c, g in enumerate(src_gens)
+            if g.ring is RingTag.TWO_TORSION
+            for r, h in enumerate(tgt_gens)
+            if h.ring is RingTag.FREE and m.entries[r][c] != 0]
+
+
+def _nonzero_in_target(rows, tgt_gens):
+    """(row, col, entry) of each matrix entry that is not zero in the group
+    of its target generator: exactly on Z rows, mod 2 on Z2 rows."""
+    return [(r, c, x) for r, (row, g) in enumerate(zip(rows, tgt_gens))
+            for c, x in enumerate(row)
+            if (x % 2 if g.ring is RingTag.TWO_TORSION else x) != 0]
+
+
 def validate_complex(cx: MixedComplex) -> list[Violation]:
     """All structural violations of the mixed-complex invariants."""
     out = []
-    for i, d in enumerate(cx.differentials):
-        if cx.direction is Direction.HOMOLOGICAL:
-            src, tgt = i + 1, i
-        else:
-            src, tgt = i, i + 1
+    for d, src, tgt in cx._diffs():
         if d.rows != cx.n(tgt) or d.cols != cx.n(src):
             out.append(Violation("shape", src,
                                  f"differential is {d.rows}x{d.cols}, "
                                  f"expected {cx.n(tgt)}x{cx.n(src)}"))
             continue
-        for c in cx.torsion_indices(src):
-            for r in range(cx.n(tgt)):
-                if (cx.generators[tgt][r].ring is RingTag.FREE
-                        and d.entries[r][c] != 0):
-                    out.append(Violation(
-                        "two-torsion source maps to free target", src,
-                        f"generator {cx.generators[src][c].name} -> "
-                        f"{cx.generators[tgt][r].name}"))
+        for r, c in _torsion_to_free(d, cx.generators[src],
+                                     cx.generators[tgt]):
+            out.append(Violation(
+                "two-torsion source maps to free target", src,
+                f"generator {cx.generators[src][c].name} -> "
+                f"{cx.generators[tgt][r].name}"))
     if any(v.kind == "shape" for v in out):
         return out
-    # composite must vanish in the target groups
-    for i in range(len(cx.differentials) - 1):
-        if cx.direction is Direction.HOMOLOGICAL:
-            first, second = cx.differentials[i + 1], cx.differentials[i]
-            src, tgt = i + 2, i
-        else:
-            first, second = cx.differentials[i], cx.differentials[i + 1]
-            src, tgt = i, i + 2
-        comp = second.mul(first)
-        for r in range(comp.rows):
-            mod2 = cx.generators[tgt][r].ring is RingTag.TWO_TORSION
-            for c in range(comp.cols):
-                x = comp.entries[r][c]
-                if (x % 2 if mod2 else x) != 0:
-                    out.append(Violation(
-                        "nonzero composite", src,
-                        f"d∘d sends {cx.generators[src][c].name} to "
-                        f"{x}*{cx.generators[tgt][r].name}"))
+    # the composite through each middle degree must vanish in the targets
+    for mid in range(1, len(cx.differentials)):
+        first, src = cx.in_diff(mid)
+        second, tgt = cx.out_diff(mid)
+        for r, c, x in _nonzero_in_target(second.mul(first).entries,
+                                          cx.generators[tgt]):
+            out.append(Violation(
+                "nonzero composite", src,
+                f"d∘d sends {cx.generators[src][c].name} to "
+                f"{x}*{cx.generators[tgt][r].name}"))
     return out
 
 
@@ -221,16 +245,14 @@ def _lift(cx: MixedComplex, deg: int, x: dict):
     the kernel of [d_out | relations]; None when x is not a cycle, that is
     when d_out x has a nonzero free entry or an odd torsion entry.
     """
-    out = cx.out_diff(deg)
+    out = cx._out_slots[deg]
     if out is None:
         return dict(x)
-    d_out, tgt = out
+    d_out, slot = out
     image = {}
     for j, c in x.items():
         for i, a in d_out.sparse_columns[j].items():
             image[i] = image.get(i, 0) + c * a
-    n = cx.n(deg)
-    slot = {i: n + k for k, i in enumerate(cx.torsion_indices(tgt))}
     lifted = dict(x)
     for i, e in image.items():
         if e:
@@ -342,8 +364,18 @@ class ChainMap:
     target: MixedComplex
     matrices: tuple[IntMatrix, ...]
 
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """What keeps the map from being a chain map, checked on first
+        use.  The map is immutable, so the check never goes stale."""
+        return tuple(_chain_map_violations(self))
+
 
 def validate_chain_map(f: ChainMap) -> list[Violation]:
+    return list(f._violations)
+
+
+def _chain_map_violations(f: ChainMap) -> list[Violation]:
     out = []
     if f.source.direction is not f.target.direction:
         return [Violation("direction mismatch", 0, "source vs target")]
@@ -353,15 +385,10 @@ def validate_chain_map(f: ChainMap) -> list[Violation]:
         if m.rows != f.target.n(d) or m.cols != f.source.n(d):
             return [Violation("shape", d, "matrix shape mismatch")]
     for d, m in enumerate(f.matrices):
-        # entries out of a torsion source generator land in Z2; they must
-        # vanish on free targets and only matter mod 2 otherwise
-        for c in f.source.torsion_indices(d):
-            for r in range(f.target.n(d)):
-                if (f.target.generators[d][r].ring is RingTag.FREE
-                        and m.entries[r][c] != 0):
-                    out.append(Violation(
-                        "two-torsion source maps to free target", d,
-                        f.source.generators[d][c].name))
+        for _, c in _torsion_to_free(m, f.source.generators[d],
+                                     f.target.generators[d]):
+            out.append(Violation("two-torsion source maps to free target",
+                                 d, f.source.generators[d][c].name))
     # commuting squares, checked in the target groups
     for d in range(len(f.matrices)):
         sd = f.source.out_diff(d)
@@ -374,29 +401,24 @@ def validate_chain_map(f: ChainMap) -> list[Violation]:
         lhs = f.matrices[tgt_deg].mul(mat)
         rhs = (td[0].mul(f.matrices[d]) if td is not None
                else IntMatrix.zero(lhs.rows, lhs.cols))
-        for r in range(lhs.rows):
-            mod2 = f.target.generators[tgt_deg][r].ring is RingTag.TWO_TORSION
-            for c in range(lhs.cols):
-                x = lhs.entries[r][c] - rhs.entries[r][c]
-                if (x % 2 if mod2 else x) != 0:
-                    out.append(Violation(
-                        "chain-map square fails", d,
-                        f"source generator {f.source.generators[d][c].name}"))
+        diff = ([x - y for x, y in zip(lrow, rrow)]
+                for lrow, rrow in zip(lhs.entries, rhs.entries))
+        for _, c, _ in _nonzero_in_target(diff, f.target.generators[tgt_deg]):
+            out.append(Violation(
+                "chain-map square fails", d,
+                f"source generator {f.source.generators[d][c].name}"))
     return out
 
 
 def induced_map(f: ChainMap, deg: int) -> IntMatrix:
     """Matrix of the induced map on homology in the computed bases."""
-    bad = validate_chain_map(f)
-    if bad:
-        raise ComplexError(f"not a chain map: {bad[0]}")
-    src = homology(f.source, deg)
-    tgt_pres = homology(f.target, deg)
+    if f._violations:
+        raise ComplexError(f"not a chain map: {f._violations[0]}")
     cols = []
-    for cyc in src.basis_cycles:
+    for cyc in homology(f.source, deg).basis_cycles:
         image = f.matrices[deg].apply(cyc)
         cols.append(list(express_class(f.target, deg, image)))
-    return from_columns(cols, tgt_pres.rank)
+    return from_columns(cols, homology(f.target, deg).rank)
 
 
 def is_surjective_on_degree(f: ChainMap, deg: int) -> bool:
@@ -406,24 +428,42 @@ def is_surjective_on_degree(f: ChainMap, deg: int) -> bool:
 
 
 def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
-    """True iff the induced map on degree-deg homology is bijective.
+    """True iff the induced map on degree-deg homology is bijective."""
+    return _is_isomorphism(homology(f.source, deg), homology(f.target, deg),
+                           lambda: induced_map(f, deg))
+
+
+def _is_isomorphism(src: AbelianGroupPresentation,
+                    tgt: AbelianGroupPresentation, matrix) -> bool:
+    """Whether a map src -> tgt is bijective; matrix() is its matrix in
+    the computed bases, asked for only when the groups can be isomorphic.
 
     Equal invariant factors plus surjectivity suffice: a surjective
     endo-type map between isomorphic finitely generated groups is
     injective (such groups are Hopfian).
     """
-    src = homology(f.source, deg)
-    tgt = homology(f.target, deg)
     if (src.free_rank, src.torsion) != (tgt.free_rank, tgt.torsion):
         return False
-    m = induced_map(f, deg)
     rel_cols = []
     for i, d in enumerate(tgt.torsion):
         col = [0] * tgt.rank
         col[tgt.free_rank + i] = d
         rel_cols.append(col)
-    m = m.hstack(from_columns(rel_cols, tgt.rank))
+    m = matrix().hstack(from_columns(rel_cols, tgt.rank))
     return cokernel_is_trivial(m)
+
+
+def _kept(gens, g: RingTag):
+    """Indices of the generators that survive in Hom(-, g); see hom_dual."""
+    return [i for i, gen in enumerate(gens)
+            if g is RingTag.TWO_TORSION or gen.ring is RingTag.FREE]
+
+
+def _dual_matrix(m: IntMatrix, tgt_gens, src_gens, g: RingTag) -> IntMatrix:
+    """Hom(m, g) for m from src_gens to tgt_gens, in the generators of
+    hom_dual: the transpose on the kept generators, mod 2 over Z2."""
+    dual = m.submatrix(_kept(tgt_gens, g), _kept(src_gens, g)).transpose()
+    return dual.mod2() if g is RingTag.TWO_TORSION else dual
 
 
 def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
@@ -434,20 +474,10 @@ def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
     """
     if cx.direction is not Direction.HOMOLOGICAL:
         raise ComplexError("hom_dual expects a homological complex")
-    if g is RingTag.FREE:
-        keep = [[i for i, gen in enumerate(degree) if gen.ring is RingTag.FREE]
-                for degree in cx.generators]
-        gens = tuple(tuple(cx.generators[d][i] for i in keep[d])
-                     for d in range(cx.top_degree + 1))
-        mats = []
-        for d in range(cx.top_degree):
-            # cx.differentials[d]: degree d+1 -> d; dual maps degree d -> d+1
-            m = cx.differentials[d].submatrix(keep[d], keep[d + 1]).transpose()
-            mats.append(m)
-        return MixedComplex(Direction.COHOMOLOGICAL, gens, tuple(mats))
-    gens = tuple(tuple(Generator(gen.name, RingTag.TWO_TORSION) for gen in degree)
+    gens = tuple(tuple(Generator(degree[i].name, g) for i in _kept(degree, g))
                  for degree in cx.generators)
-    mats = tuple(m.transpose().mod2() for m in cx.differentials)
+    mats = tuple(_dual_matrix(m, cx.generators[tgt], cx.generators[src], g)
+                 for m, src, tgt in cx._diffs())
     return MixedComplex(Direction.COHOMOLOGICAL, gens, mats)
 
 

@@ -54,6 +54,204 @@ def test_basis_dependent_stdout(capsys, argv, expected):
     assert out == expected
 
 
+# The catalog tables as exported, byte for byte: the n=2 catalogs are
+# truncations of the n=3 ones, so a change in how any table is built
+# shows here.
+@pytest.mark.parametrize("cid, expected", [
+    ("CO32",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1],[-1,-1,1,1]],'
+     '"to":2}],"direction":"cohomological","generators":[[{"name":"0",'
+     '"parity":"o","ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],'
+     '[{"name":"I0","parity":"o","ring":"Z"},{"name":"I0","parity":"e",'
+     '"ring":"Z"},{"name":"I1","parity":"o","ring":"Z"},{"name":"I1",'
+     '"parity":"e","ring":"Z"}],[{"name":"II01","parity":"o","ring":"Z"},'
+     '{"name":"II01","parity":"e","ring":"Z"}]],"id":"CO32"}\n'),
+    ("CO32_ORI",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1],[-1,-1,1,1]],'
+     '"to":2}],"direction":"cohomological","generators":[[{"name":"0",'
+     '"parity":"o","ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],'
+     '[{"name":"I0","parity":"o","ring":"Z"},{"name":"I0","parity":"e",'
+     '"ring":"Z"},{"name":"I1","parity":"o","ring":"Z"},{"name":"I1",'
+     '"parity":"e","ring":"Z"}],[{"name":"II01","parity":"o","ring":"Z"},'
+     '{"name":"II01","parity":"e","ring":"Z"}]],"id":"CO32_ORI"}\n'),
+    ("SCO32",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1],[-1,-1,1,1]],'
+     '"to":2}],"direction":"cohomological","generators":[[{"name":"0",'
+     '"parity":"o","ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],'
+     '[{"name":"I0","parity":"o","ring":"Z"},{"name":"I0","parity":"e",'
+     '"ring":"Z"},{"name":"I1","parity":"o","ring":"Z"},{"name":"I1",'
+     '"parity":"e","ring":"Z"}],[{"name":"II01","parity":"o","ring":"Z"},'
+     '{"name":"II01","parity":"e","ring":"Z"}]],"id":"SCO32"}\n'),
+    ("SCO32_ORI",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1],[-1,-1,1,1]],'
+     '"to":2}],"direction":"cohomological","generators":[[{"name":"0",'
+     '"parity":"o","ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],'
+     '[{"name":"I0","parity":"o","ring":"Z"},{"name":"I0","parity":"e",'
+     '"ring":"Z"},{"name":"I1","parity":"o","ring":"Z"},{"name":"I1",'
+     '"parity":"e","ring":"Z"}],[{"name":"II01","parity":"o","ring":"Z"},'
+     '{"name":"II01","parity":"e","ring":"Z"}]],"id":"SCO32_ORI"}\n'),
+    ("CO21",
+     '{"degrees":2,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1}],"direction":"cohomological",'
+     '"generators":[[{"name":"0","parity":"o","ring":"Z"},{"name":"0",'
+     '"parity":"e","ring":"Z"}],[{"name":"I0","parity":"o","ring":"Z"},'
+     '{"name":"I0","parity":"e","ring":"Z"},{"name":"I1","parity":"o",'
+     '"ring":"Z"},{"name":"I1","parity":"e","ring":"Z"}]],"id":"CO21"}\n'),
+    ("C32_Z2",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,1],[1,1],[1,1],'
+     '[1,1],[0,0],[0,0]],"to":1},{"from":1,"matrix":[[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[1,1,1,1,0,0],[1,1,1,1,0,0],[0,0,0,0,1,1],[0,0,0,0,1,1],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,1,1],[0,0,0,0,1,1],[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,1,1],[0,0,0,0,1,1],[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0]],"to":2}],"direction":"cohomological","generators":[[{"name":"0",'
+     '"parity":"o","ring":"Z2"},{"name":"0","parity":"e","ring":"Z2"}],'
+     '[{"name":"I0","parity":"o","ring":"Z2"},{"name":"I0","parity":"e",'
+     '"ring":"Z2"},{"name":"I1","parity":"o","ring":"Z2"},{"name":"I1",'
+     '"parity":"e","ring":"Z2"},{"name":"I2","parity":"o","ring":"Z2"},'
+     '{"name":"I2","parity":"e","ring":"Z2"}],[{"name":"II00","parity":"o",'
+     '"ring":"Z2"},{"name":"II00","parity":"e","ring":"Z2"},{"name":"II01",'
+     '"parity":"o","ring":"Z2"},{"name":"II01","parity":"e","ring":"Z2"},'
+     '{"name":"II02","parity":"o","ring":"Z2"},{"name":"II02","parity":"e",'
+     '"ring":"Z2"},{"name":"II11","parity":"o","ring":"Z2"},{"name":"II11",'
+     '"parity":"e","ring":"Z2"},{"name":"II12","parity":"o","ring":"Z2"},'
+     '{"name":"II12","parity":"e","ring":"Z2"},{"name":"II22","parity":"o",'
+     '"ring":"Z2"},{"name":"II22","parity":"e","ring":"Z2"},{"name":"II3",'
+     '"parity":"o","ring":"Z2"},{"name":"II3","parity":"e","ring":"Z2"},'
+     '{"name":"II4","parity":"o","ring":"Z2"},{"name":"II4","parity":"e",'
+     '"ring":"Z2"},{"name":"II5","parity":"o","ring":"Z2"},{"name":"II5",'
+     '"parity":"e","ring":"Z2"},{"name":"II6","parity":"o","ring":"Z2"},'
+     '{"name":"II6","parity":"e","ring":"Z2"},{"name":"II7","parity":"o",'
+     '"ring":"Z2"},{"name":"II7","parity":"e","ring":"Z2"}]],'
+     '"id":"C32_Z2"}\n'),
+    ("C32_Z2_SIMPLE",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,1],[1,1],[1,1],'
+     '[1,1],[0,0],[0,0]],"to":1},{"from":1,"matrix":[[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[1,1,1,1,0,0],[1,1,1,1,0,0],[0,0,0,0,1,1],[0,0,0,0,1,1],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,1,1],[0,0,0,0,1,1],[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,'
+     '0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0]],"to":2}],'
+     '"direction":"cohomological","generators":[[{"name":"0","parity":"o",'
+     '"ring":"Z2"},{"name":"0","parity":"e","ring":"Z2"}],[{"name":"I0",'
+     '"parity":"o","ring":"Z2"},{"name":"I0","parity":"e","ring":"Z2"},'
+     '{"name":"I1","parity":"o","ring":"Z2"},{"name":"I1","parity":"e",'
+     '"ring":"Z2"},{"name":"I2","parity":"o","ring":"Z2"},{"name":"I2",'
+     '"parity":"e","ring":"Z2"}],[{"name":"II00","parity":"o","ring":"Z2"},'
+     '{"name":"II00","parity":"e","ring":"Z2"},{"name":"II01","parity":"o",'
+     '"ring":"Z2"},{"name":"II01","parity":"e","ring":"Z2"},{"name":"II02",'
+     '"parity":"o","ring":"Z2"},{"name":"II02","parity":"e","ring":"Z2"},'
+     '{"name":"II11","parity":"o","ring":"Z2"},{"name":"II11","parity":"e",'
+     '"ring":"Z2"},{"name":"II12","parity":"o","ring":"Z2"},{"name":"II12",'
+     '"parity":"e","ring":"Z2"},{"name":"II22","parity":"o","ring":"Z2"},'
+     '{"name":"II22","parity":"e","ring":"Z2"},{"name":"II3","parity":"o",'
+     '"ring":"Z2"},{"name":"II3","parity":"e","ring":"Z2"},{"name":"II4",'
+     '"parity":"o","ring":"Z2"},{"name":"II4","parity":"e","ring":"Z2"},'
+     '{"name":"II5","parity":"o","ring":"Z2"},{"name":"II5","parity":"e",'
+     '"ring":"Z2"},{"name":"II7","parity":"o","ring":"Z2"},{"name":"II7",'
+     '"parity":"e","ring":"Z2"}]],"id":"C32_Z2_SIMPLE"}\n'),
+    ("C21_Z2",
+     '{"degrees":2,"differentials":[{"from":0,"matrix":[[1,1],[1,1],[1,1],'
+     '[1,1],[0,0],[0,0]],"to":1}],"direction":"cohomological",'
+     '"generators":[[{"name":"0","parity":"o","ring":"Z2"},{"name":"0",'
+     '"parity":"e","ring":"Z2"}],[{"name":"I0","parity":"o","ring":"Z2"},'
+     '{"name":"I0","parity":"e","ring":"Z2"},{"name":"I1","parity":"o",'
+     '"ring":"Z2"},{"name":"I1","parity":"e","ring":"Z2"},{"name":"I2",'
+     '"parity":"o","ring":"Z2"},{"name":"I2","parity":"e","ring":"Z2"}]],'
+     '"id":"C21_Z2"}\n'),
+    ("V32",
+     '{"degrees":3,"differentials":[{"from":1,"matrix":[[1,1,1,1,0,0],[-1,'
+     '-1,-1,-1,0,0]],"to":0},{"from":2,"matrix":[[0,0,1,-1,0,0,0,0,0,0,0,0,'
+     '0,0,0,0,0,0,0,0,0,0],[0,0,1,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],'
+     '[0,0,-1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[0,0,-1,1,0,0,0,0,0,0,'
+     '0,0,0,0,0,0,0,0,0,0,0,0],[0,0,0,0,1,1,0,0,1,1,0,0,0,0,0,0,0,0,1,1,0,'
+     '0],[0,0,0,0,1,1,0,0,1,1,0,0,0,0,0,0,0,0,1,1,0,0]],"to":1}],'
+     '"direction":"homological","generators":[[{"name":"0","parity":"o",'
+     '"ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],[{"name":"I0",'
+     '"parity":"o","ring":"Z"},{"name":"I0","parity":"e","ring":"Z"},'
+     '{"name":"I1","parity":"o","ring":"Z"},{"name":"I1","parity":"e",'
+     '"ring":"Z"},{"name":"I2","parity":"o","ring":"Z2"},{"name":"I2",'
+     '"parity":"e","ring":"Z2"}],[{"name":"II00","parity":"o","ring":"Z2"},'
+     '{"name":"II00","parity":"e","ring":"Z2"},{"name":"II01","parity":"o",'
+     '"ring":"Z"},{"name":"II01","parity":"e","ring":"Z"},{"name":"II02",'
+     '"parity":"o","ring":"Z2"},{"name":"II02","parity":"e","ring":"Z2"},'
+     '{"name":"II11","parity":"o","ring":"Z2"},{"name":"II11","parity":"e",'
+     '"ring":"Z2"},{"name":"II12","parity":"o","ring":"Z2"},{"name":"II12",'
+     '"parity":"e","ring":"Z2"},{"name":"II22","parity":"o","ring":"Z2"},'
+     '{"name":"II22","parity":"e","ring":"Z2"},{"name":"II3","parity":"o",'
+     '"ring":"Z2"},{"name":"II3","parity":"e","ring":"Z2"},{"name":"II4",'
+     '"parity":"o","ring":"Z2"},{"name":"II4","parity":"e","ring":"Z2"},'
+     '{"name":"II5","parity":"o","ring":"Z2"},{"name":"II5","parity":"e",'
+     '"ring":"Z2"},{"name":"II6","parity":"o","ring":"Z2"},{"name":"II6",'
+     '"parity":"e","ring":"Z2"},{"name":"II7","parity":"o","ring":"Z2"},'
+     '{"name":"II7","parity":"e","ring":"Z2"}]],"id":"V32"}\n'),
+    ("F32",
+     '{"degrees":3,"differentials":[{"from":1,"matrix":[[1,1,1,1,0,0],[-1,'
+     '-1,-1,-1,0,0]],"to":0},{"from":2,"matrix":[[0,0,1,-1,0,0,0,0,0,0,0,0,'
+     '0,0,0,0,0,0,0,0,0,0,0],[0,0,1,-1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,'
+     '0],[0,0,-1,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[0,0,-1,1,0,0,0,0,'
+     '0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],[0,0,0,0,1,1,0,0,1,1,0,0,0,0,0,0,0,0,1,'
+     '1,0,0,2],[0,0,0,0,1,1,0,0,1,1,0,0,0,0,0,0,0,0,1,1,0,0,0]],"to":1}],'
+     '"direction":"homological","generators":[[{"name":"0","parity":"o",'
+     '"ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],[{"name":"I0",'
+     '"parity":"o","ring":"Z"},{"name":"I0","parity":"e","ring":"Z"},'
+     '{"name":"I1","parity":"o","ring":"Z"},{"name":"I1","parity":"e",'
+     '"ring":"Z"},{"name":"I2","parity":"o","ring":"Z"},{"name":"I2",'
+     '"parity":"e","ring":"Z"}],[{"name":"II00","parity":"o","ring":"Z"},'
+     '{"name":"II00","parity":"e","ring":"Z"},{"name":"II01","parity":"o",'
+     '"ring":"Z"},{"name":"II01","parity":"e","ring":"Z"},{"name":"II02",'
+     '"parity":"o","ring":"Z"},{"name":"II02","parity":"e","ring":"Z"},'
+     '{"name":"II11","parity":"o","ring":"Z"},{"name":"II11","parity":"e",'
+     '"ring":"Z"},{"name":"II12","parity":"o","ring":"Z"},{"name":"II12",'
+     '"parity":"e","ring":"Z"},{"name":"II22","parity":"o","ring":"Z"},'
+     '{"name":"II22","parity":"e","ring":"Z"},{"name":"II3","parity":"o",'
+     '"ring":"Z"},{"name":"II3","parity":"e","ring":"Z"},{"name":"II4",'
+     '"parity":"o","ring":"Z"},{"name":"II4","parity":"e","ring":"Z"},'
+     '{"name":"II5","parity":"o","ring":"Z"},{"name":"II5","parity":"e",'
+     '"ring":"Z"},{"name":"II6","parity":"o","ring":"Z"},{"name":"II6",'
+     '"parity":"e","ring":"Z"},{"name":"II7","parity":"o","ring":"Z"},'
+     '{"name":"II7","parity":"e","ring":"Z"},{"name":"A","parity":null,'
+     '"ring":"Z"}]],"id":"F32"}\n'),
+    ("CUSP32",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1],[-1,-1,1,1],[0,-1,'
+     '1,0],[1,0,0,-1]],"to":2}],"direction":"cohomological",'
+     '"generators":[[{"name":"0","parity":"o","ring":"Z"},{"name":"0",'
+     '"parity":"e","ring":"Z"}],[{"name":"I0","parity":"o","ring":"Z"},'
+     '{"name":"I0","parity":"e","ring":"Z"},{"name":"I1","parity":"o",'
+     '"ring":"Z"},{"name":"I1","parity":"e","ring":"Z"}],[{"name":"II01",'
+     '"parity":"o","ring":"Z"},{"name":"II01","parity":"e","ring":"Z"},'
+     '{"name":"IIa","parity":"o","ring":"Z"},{"name":"IIa","parity":"e",'
+     '"ring":"Z"}]],"id":"CUSP32"}\n'),
+    ("BCUSP32",
+     '{"degrees":3,"differentials":[{"from":0,"matrix":[[1,-1],[1,-1],[1,'
+     '-1],[1,-1],[1,-1],[1,-1]],"to":1},{"from":1,"matrix":[[1,1,-1,-1,0,0],'
+     '[-1,-1,1,1,0,0],[-1,-1,0,0,1,1],[1,1,0,0,-1,-1],[0,0,-1,-1,1,1],[0,0,'
+     '1,1,-1,-1],[0,1,-1,0,0,0],[-1,0,0,1,0,0],[0,0,0,1,0,-1],[0,0,-1,0,1,'
+     '0],[0,1,0,0,-1,0],[-1,0,0,0,0,1]],"to":2}],'
+     '"direction":"cohomological","generators":[[{"name":"0","parity":"o",'
+     '"ring":"Z"},{"name":"0","parity":"e","ring":"Z"}],[{"name":"I0",'
+     '"parity":"o","ring":"Z"},{"name":"I0","parity":"e","ring":"Z"},'
+     '{"name":"I1","parity":"o","ring":"Z"},{"name":"I1","parity":"e",'
+     '"ring":"Z"},{"name":"Ia","parity":"o","ring":"Z"},{"name":"Ia",'
+     '"parity":"e","ring":"Z"}],[{"name":"II01","parity":"o","ring":"Z"},'
+     '{"name":"II01","parity":"e","ring":"Z"},{"name":"II0a","parity":"o",'
+     '"ring":"Z"},{"name":"II0a","parity":"e","ring":"Z"},{"name":"II1a",'
+     '"parity":"o","ring":"Z"},{"name":"II1a","parity":"e","ring":"Z"},'
+     '{"name":"IIa","parity":"o","ring":"Z"},{"name":"IIa","parity":"e",'
+     '"ring":"Z"},{"name":"IIb","parity":"o","ring":"Z"},{"name":"IIb",'
+     '"parity":"e","ring":"Z"},{"name":"IIg","parity":"o","ring":"Z"},'
+     '{"name":"IIg","parity":"e","ring":"Z"}]],"id":"BCUSP32"}\n'),
+])
+def test_catalog_export_stdout(capsys, cid, expected):
+    code, out, _ = run(capsys, "catalog", "export", "--id", cid)
+    assert code == 0
+    assert out == expected
+
+
 def test_catalog_list_and_export_deterministic(capsys):
     code, out1, _ = run(capsys, "catalog", "export", "--id", "BCUSP32")
     assert code == 0

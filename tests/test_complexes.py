@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -225,6 +227,50 @@ def test_homology_cache_keeps_recent_presentation(monkeypatch):
     calls.clear()
     assert express_class(cx, 1, (1, -1)) == (-1,)
     assert len(calls) == 2
+
+
+def test_equal_complexes_hash_equal_and_share_a_cache_entry(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+
+    def build():
+        return make_complex(
+            Direction.HOMOLOGICAL,
+            [[("share_x", RingTag.FREE)], [("share_y", RingTag.FREE)]],
+            [{"share_y": {"share_x": 2}}])
+
+    a, b = build(), build()
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash((a.direction, a.generators,
+                                       a.differentials))
+    homology.cache_clear()
+    pres = homology(a, 0)
+    calls.clear()
+    assert homology(b, 0) is pres
+    assert not calls
+    assert homology.cache_info().currsize == 1
+    # a pickled complex leaves its cached hash behind
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and "_hash" not in vars(c)
+
+
+def test_express_class_reuses_the_torsion_slots(monkeypatch):
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("slot_x", RingTag.TWO_TORSION)], [("slot_y", RingTag.FREE)]],
+        [{"slot_y": {"slot_x": 1}}])
+    assert homology(cx, 1).free_rank == 1
+    assert express_class(cx, 1, (2,)) in {(1,), (-1,)}
+    calls = []
+    torsion_indices = MixedComplex.torsion_indices
+
+    def counting(self, deg):
+        calls.append(deg)
+        return torsion_indices(self, deg)
+
+    monkeypatch.setattr(MixedComplex, "torsion_indices", counting)
+    for _ in range(3):
+        assert express_class(cx, 1, (2,)) in {(1,), (-1,)}
+    assert not calls
 
 
 def test_express_class_rejects_wrong_length():

@@ -1,5 +1,6 @@
-"""Each graph is swept once and each diagram checked once, however many
-calls read them, and the cached results cannot be changed from outside."""
+"""Each graph is swept once, each diagram and each chain map checked once,
+however many calls read them, and the cached results cannot be changed
+from outside."""
 
 import json
 import os
@@ -10,12 +11,17 @@ from pathlib import Path
 import pytest
 
 import foldcob
-from foldcob import diagrams, reeb
+from foldcob import complexes, diagrams, reeb
+from foldcob.catalog import (CatalogId, catalog, free_approximation,
+                             hypercohomology, suspension_map)
 from foldcob.cli import main
+from foldcob.complexes import (ChainMap, ComplexError, Direction, RingTag,
+                               induced_map, make_complex, validate_chain_map)
 from foldcob.diagrams import (CircleFiberDiagram, DiagramEvent, RegularArc,
                               BoundaryMode, cusp_count_closed,
                               diagram_from_json, diagram_to_json, from_reeb,
                               validate_diagram)
+from foldcob.intmat import IntMatrix
 from foldcob.reeb import (Category, fiber_profile, graph_from_json,
                           graph_to_json, invariants, make_graph, random_reeb,
                           reduce_to_normal_form, validate_reeb)
@@ -47,6 +53,20 @@ def checks(monkeypatch):
 
     monkeypatch.setattr(diagrams, "_diagram_problems", counted)
     return n
+
+
+@pytest.fixture
+def map_checks(monkeypatch):
+    """The chain maps checked since the fixture started, once per check."""
+    checked = []
+    violations = complexes._chain_map_violations
+
+    def counted(f):
+        checked.append(f)
+        return violations(f)
+
+    monkeypatch.setattr(complexes, "_chain_map_violations", counted)
+    return checked
 
 
 @pytest.mark.parametrize("orientable", [True, False])
@@ -136,3 +156,51 @@ def test_identities_fire_under_python_O():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode != 0
     assert "strand-count identity failed" in proc.stderr
+
+
+def test_six_hyper_results_check_each_chain_map_once(map_checks):
+    free_approximation.cache_clear()
+    v32 = catalog(CatalogId.V32)
+    for coeff in RingTag:
+        for deg in range(3):
+            hypercohomology(v32, coeff, deg)
+    # the collapse map once, and one dualized collapse map per result
+    assert len(map_checks) <= 7
+    assert len({id(f) for f in map_checks}) == len(map_checks)
+
+
+@pytest.mark.parametrize("variant", ["co_Z", "full_Z2"])
+def test_suspension_map_checks_each_of_its_maps_once(map_checks, variant):
+    suspension_map.cache_clear()
+    maps = suspension_map(variant)
+    for _ in range(2):
+        assert suspension_map(variant) is maps
+        for f in (maps.chain, maps.pullback):
+            assert validate_chain_map(f) == []
+            induced_map(f, 1)
+    assert sorted(map(id, map_checks)) == sorted(
+        [id(maps.chain), id(maps.pullback)])
+
+
+def _line(coeff):
+    """Z -> Z, multiplication by coeff, as a complex in degrees 0 and 1."""
+    return make_complex(Direction.HOMOLOGICAL,
+                        [[("x", RingTag.FREE)], [("y", RingTag.FREE)]],
+                        [{"y": {"x": coeff}}])
+
+
+def test_validate_chain_map_returns_a_copy(map_checks):
+    a, b = _line(2), _line(3)
+    ident = (IntMatrix.identity(1), IntMatrix.identity(1))
+    bad = ChainMap(a, b, ident)
+    problems = validate_chain_map(bad)
+    assert problems and problems[0].kind == "chain-map square fails"
+    validate_chain_map(bad).clear()
+    assert validate_chain_map(bad) == problems
+    with pytest.raises(ComplexError, match="not a chain map"):
+        induced_map(bad, 0)
+    good = ChainMap(a, a, ident)
+    validate_chain_map(good).append("tampered")
+    assert validate_chain_map(good) == []
+    assert induced_map(good, 0) == IntMatrix.identity(1)
+    assert [id(f) for f in map_checks] == [id(bad), id(good)]
