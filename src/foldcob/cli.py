@@ -17,8 +17,8 @@ from .complexes import RingTag, homology, induced_map
 from .diagrams import (cusp_count_boundary, cusp_count_closed,
                        diagram_from_json, BoundaryMode)
 from .intmat import IntMatrix
-from .reeb import (Category, graph_from_json, graph_to_json, invariants,
-                   reduce_to_normal_form, cobordant)
+from .reeb import (Category, InvariantVector, graph_from_json, graph_to_json,
+                   invariants, reduce_to_normal_form, cobordant)
 
 
 def _emit(doc) -> int:
@@ -78,30 +78,26 @@ def _cmd_suspension(args) -> int:
 
 
 def _cmd_hyper(args) -> int:
-    coeff = RingTag.FREE if args.coeff == "Z" else RingTag.TWO_TORSION
-    h = hypercohomology(catalog(CatalogId.V32), coeff, args.deg)
+    h = hypercohomology(catalog(CatalogId.V32), RingTag(args.coeff), args.deg)
     return _emit({"free_rank": h.group.free_rank,
                   "torsion": list(h.group.torsion),
                   "comparison_iso": h.comparison_is_isomorphism})
 
 
+def _zw(inv: InvariantVector) -> dict:
+    """z, and w outside the oriented categories, where it is always 0."""
+    return {"z": inv.z} if inv.category.oriented else {"z": inv.z, "w": inv.w}
+
+
 def _cmd_invariants(args) -> int:
     g = graph_from_json(_load_json(args.infile))
-    category = Category(args.category)
-    inv = invariants(g, category)
-    doc = {"z": inv.z}
-    if not category.oriented:
-        doc["w"] = inv.w
-    return _emit(doc)
+    return _emit(_zw(invariants(g, Category(args.category))))
 
 
 def _cmd_reduce(args) -> int:
     g = graph_from_json(_load_json(args.infile))
-    category = Category(args.category)
-    res = reduce_to_normal_form(g, category)
-    doc = {"z": res.invariants.z}
-    if not category.oriented:
-        doc["w"] = res.invariants.w
+    res = reduce_to_normal_form(g, Category(args.category))
+    doc = _zw(res.invariants)
     doc["trace"] = [{"move": m, "count": n} for m, n in res.trace]
     doc["canonical"] = graph_to_json(res.canonical)
     return _emit(doc)

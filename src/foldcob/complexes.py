@@ -187,23 +187,27 @@ def _nonzero_in_target(rows, tgt_gens):
             if (x % 2 if g.ring is RingTag.TWO_TORSION else x) != 0]
 
 
+def _shape_violations(cx: MixedComplex) -> list[Violation]:
+    """The differentials whose shape does not fit the degrees they join."""
+    return [Violation("shape", src, f"differential is {d.rows}x{d.cols}, "
+                      f"expected {cx.n(tgt)}x{cx.n(src)}")
+            for d, src, tgt in cx._diffs()
+            if d.rows != cx.n(tgt) or d.cols != cx.n(src)]
+
+
 def validate_complex(cx: MixedComplex) -> list[Violation]:
-    """All structural violations of the mixed-complex invariants."""
-    out = []
+    """All structural violations of the mixed-complex invariants; shape
+    violations are reported alone."""
+    out = _shape_violations(cx)
+    if out:
+        return out
     for d, src, tgt in cx._diffs():
-        if d.rows != cx.n(tgt) or d.cols != cx.n(src):
-            out.append(Violation("shape", src,
-                                 f"differential is {d.rows}x{d.cols}, "
-                                 f"expected {cx.n(tgt)}x{cx.n(src)}"))
-            continue
         for r, c in _torsion_to_free(d, cx.generators[src],
                                      cx.generators[tgt]):
             out.append(Violation(
                 "two-torsion source maps to free target", src,
                 f"generator {cx.generators[src][c].name} -> "
                 f"{cx.generators[tgt][r].name}"))
-    if any(v.kind == "shape" for v in out):
-        return out
     # the composite through each middle degree must vanish in the targets
     for mid in range(1, len(cx.differentials)):
         first, src = cx.in_diff(mid)
@@ -384,6 +388,10 @@ def _chain_map_violations(f: ChainMap) -> list[Violation]:
     for d, m in enumerate(f.matrices):
         if m.rows != f.target.n(d) or m.cols != f.source.n(d):
             return [Violation("shape", d, "matrix shape mismatch")]
+    # the squares below multiply the differentials of both ends
+    shapes = _shape_violations(f.source) + _shape_violations(f.target)
+    if shapes:
+        return shapes
     for d, m in enumerate(f.matrices):
         for _, c in _torsion_to_free(m, f.source.generators[d],
                                      f.target.generators[d]):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .reeb import ReebGraph, _parse_enum, _valid_sweep
+from .reeb import (ReebGraph, _c2, _parse_enum, _signed, _tally,
+                   _valid_sweep)
 
 
 class BoundaryMode(Enum):
@@ -38,10 +39,6 @@ class RegularArc:
 class DiagramEvent:
     fiber_class: str       # "I0" | "I1" | "I2" | "Ia"
     components: int
-
-    @property
-    def parity(self) -> str:
-        return "o" if self.components % 2 == 1 else "e"
 
 
 @dataclass(frozen=True)
@@ -137,15 +134,11 @@ def algebraic_counts(d: CircleFiberDiagram) -> dict:
     flip parity and is reported as an unsigned count mod 2.
     """
     _require_valid(d)
-    counts = {f"{cls}_{p}": 0 for cls in ("I0", "I1", "Ia") for p in "oe"}
-    counts["I2"] = 0
-    for i, ev in enumerate(d.events()):
-        before, after = d.event_neighbors(i)
-        if ev.fiber_class == "I2":
-            counts["I2"] = (counts["I2"] + 1) % 2
-            continue
-        sign = 1 if before.total % 2 == 0 else -1
-        counts[f"{ev.fiber_class}_{ev.parity}"] += sign
+    # arcs()[i] is the regular level just before events()[i]
+    counts = _tally(_signed((ev.fiber_class, ev.components, before.total)
+                            for before, ev in zip(d.arcs(), d.events())),
+                    ("I0", "I1", "Ia"))
+    counts["I2"] %= 2
     return counts
 
 
@@ -163,12 +156,7 @@ def cusp_count_closed(d: CircleFiberDiagram) -> CuspCount:
     Returns -|I0_o| + |I0_e|, cross-checked against -|I1_o| + |I1_e|;
     a mismatch means the diagram is not realizable as a boundary map.
     """
-    if d.mode is not BoundaryMode.CLOSED:
-        raise DiagramError("closed cusp count needs a CLOSED diagram")
-    c = algebraic_counts(d)
-    lhs = -c["I0_o"] + c["I0_e"]
-    rhs = -c["I1_o"] + c["I1_e"]
-    return CuspCount(lhs, "ok" if lhs == rhs else "mismatch", lhs, rhs)
+    return _cusp_count(d, BoundaryMode.CLOSED, "closed")
 
 
 def cusp_count_boundary(d: CircleFiberDiagram) -> CuspCount:
@@ -178,10 +166,15 @@ def cusp_count_boundary(d: CircleFiberDiagram) -> CuspCount:
     invariant expression -|Ia_o| + |Ia_e| - |I1_o| + |I1_e|; for
     diagrams without boundary classes this reduces to the closed check.
     """
-    if d.mode is not BoundaryMode.WITH_BOUNDARY:
-        raise DiagramError("boundary cusp count needs a WITH_BOUNDARY diagram")
+    return _cusp_count(d, BoundaryMode.WITH_BOUNDARY, "boundary")
+
+
+def _cusp_count(d: CircleFiberDiagram, mode: BoundaryMode,
+                name: str) -> CuspCount:
+    if d.mode is not mode:
+        raise DiagramError(f"{name} cusp count needs a {mode.value} diagram")
     c = algebraic_counts(d)
-    lhs = -c["I0_o"] + c["I0_e"]
+    lhs = _c2(c)
     rhs = -c["Ia_o"] + c["Ia_e"] - c["I1_o"] + c["I1_e"]
     return CuspCount(lhs, "ok" if lhs == rhs else "mismatch", lhs, rhs)
 
@@ -192,14 +185,12 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
     The function misses one point of the circle, so the diagram starts
     and ends with an empty arc.
     """
-    s = _valid_sweep(g)
-    cells = [RegularArc(0)]
-    for i, (_, cls, _, _, components) in enumerate(s.events()):
-        if i:
-            # the regular level between two critical values
-            cells.append(RegularArc(s.below[i]))
-        cells.append(DiagramEvent(cls, components))
-    return CircleFiberDiagram(BoundaryMode.CLOSED, tuple(cells))
+    cells = []
+    for cls, components, below in _valid_sweep(g).events():
+        # the regular level below the critical value, then its fiber
+        cells += RegularArc(below), DiagramEvent(cls, components)
+    return CircleFiberDiagram(BoundaryMode.CLOSED,
+                              tuple(cells) or (RegularArc(0),))
 
 
 def reverse(d: CircleFiberDiagram) -> CircleFiberDiagram:

@@ -87,9 +87,6 @@ class FiberProfile:
     events: tuple[FiberEvent, ...]
     counts: dict
 
-    def count(self, key: str) -> int:
-        return self.counts[key]
-
 
 _EVENT_CLASS = {VertexKind.MIN: "I0", VertexKind.MAX: "I0",
                 VertexKind.SADDLE: "I1", VertexKind.DEG2: "I2"}
@@ -205,25 +202,38 @@ class _Sweep:
                 for v, u in zip(self.order, self.up) if v.kind is VertexKind.SADDLE]
 
     def events(self):
-        """(vertex, class, parity, sign, components) in value order."""
+        """(class, components, regular components below) of each vertex's
+        fiber in value order, as ``_signed`` reads them."""
         for v, down, below in zip(self.order, self.down, self.below):
             # the vertex's own component plus every edge through its level
-            components = 1 + below - down
-            cls = _EVENT_CLASS[v.kind]
-            # an I0/I1 event flips regular parity; below-count parity decides
-            sign = None if cls == "I2" else 1 if below % 2 == 0 else -1
-            yield v, cls, "o" if components % 2 == 1 else "e", sign, components
+            yield _EVENT_CLASS[v.kind], 1 + below - down, below
 
-    def profile(self) -> FiberProfile:
-        events = []
-        counts = {"I0_o": 0, "I0_e": 0, "I1_o": 0, "I1_e": 0, "I2": 0}
-        for v, cls, parity, sign, components in self.events():
-            if sign is None:
-                counts["I2"] += 1
-            else:
-                counts[f"{cls}_{parity}"] += sign
-            events.append(FiberEvent(v.value, cls, parity, sign, components))
-        return FiberProfile(tuple(events), counts)
+
+def _signed(events):
+    """Each singular fiber (class, components, regular components before
+    it) as (class, components, parity, sign).  The parity is that of its
+    components.  I0, I1 and Ia change the regular count by one, with sign
+    +1 when its parity goes even to odd; I2 keeps it and has no sign."""
+    for cls, components, before in events:
+        yield (cls, components, "o" if components % 2 else "e",
+               None if cls == "I2" else -1 if before % 2 else 1)
+
+
+def _tally(signed, classes=("I0", "I1")) -> dict:
+    """Signed totals per class and parity of a ``_signed`` stream; I2 is
+    counted unsigned."""
+    counts = {f"{cls}_{p}": 0 for cls in classes for p in "oe"} | {"I2": 0}
+    for cls, _, parity, sign in signed:
+        if sign is None:
+            counts["I2"] += 1
+        else:
+            counts[f"{cls}_{parity}"] += sign
+    return counts
+
+
+def _c2(counts: dict) -> int:
+    """The cusp cochain c2 = -I0_o + I0_e on a tally (z for a graph)."""
+    return counts["I0_e"] - counts["I0_o"]
 
 
 def _valid_sweep(g: ReebGraph) -> _Sweep:
@@ -246,14 +256,15 @@ def validate_reeb(g: ReebGraph) -> list[str]:
 
 
 def fiber_profile(g: ReebGraph) -> FiberProfile:
-    """One singular-fiber event per vertex, with signed totals.
-
-    The fiber over a critical value has one component for the vertex
-    plus one for every edge strictly crossing the level.  The sign of a
-    parity-flipping event is +1 when the regular-level component parity
-    goes even to odd with increasing value.
-    """
-    return _valid_sweep(g).profile()
+    """One singular-fiber event per vertex, with signed totals.  A
+    parity-flipping event's sign is +1 when the regular-level component
+    parity goes even to odd with increasing value."""
+    s = _valid_sweep(g)
+    signed = list(_signed(s.events()))
+    return FiberProfile(
+        tuple(FiberEvent(v.value, cls, parity, sign, components)
+              for v, (cls, components, parity, sign) in zip(s.order, signed)),
+        _tally(signed))
 
 
 @dataclass(frozen=True)
@@ -270,9 +281,7 @@ def invariants(g: ReebGraph, category: Category) -> InvariantVector:
     z = g.count(VertexKind.MAX) - g.count(VertexKind.MIN)
     w = 0 if category.oriented else g.count(VertexKind.DEG2) % 2
     _identity(z == sum(s.saddle_signs()), "strand-count")
-    extrema = sum(sign if parity == "e" else -sign
-                  for _, cls, parity, sign, _ in s.events() if cls == "I0")
-    _identity(z == extrema, "signed minimum/maximum")
+    _identity(z == _c2(_tally(_signed(s.events()))), "signed minimum/maximum")
     return InvariantVector(z, w, category)
 
 

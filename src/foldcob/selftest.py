@@ -7,7 +7,7 @@ and additionally the numeric germ oracle, which needs numpy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, fiber_classes, free_approximation,
@@ -164,12 +164,12 @@ def _check_one_graph(g):
     inv = invariants(g, cat)     # internal identities hard-assert
     _need(g.count(VertexKind.DEG2) % 2 == euler_characteristic(g) % 2,
           "cross-cap parity vs Euler characteristic")
-    prof = fiber_profile(g)
+    prof = fiber_profile(g).counts
     z = inv.z
-    _need(-prof.count("I0_o") + prof.count("I0_e") == z, "extremum count")
-    _need(-prof.count("I1_o") + prof.count("I1_e") == z, "saddle count")
-    _need(prof.count("I0_o") + prof.count("I1_e") == 0, "pair identity o/e")
-    _need(prof.count("I0_e") + prof.count("I1_o") == 0, "pair identity e/o")
+    _need(-prof["I0_o"] + prof["I0_e"] == z, "extremum count")
+    _need(-prof["I1_o"] + prof["I1_e"] == z, "saddle count")
+    _need(prof["I0_o"] + prof["I1_e"] == 0, "pair identity o/e")
+    _need(prof["I0_e"] + prof["I1_o"] == 0, "pair identity e/o")
     red = reduce_to_normal_form(g, cat)
     again = reduce_to_normal_form(red.canonical, cat)
     _need(again.invariants == red.invariants, "reduction not idempotent")
@@ -185,8 +185,8 @@ def _check_one_graph(g):
     _need(not validate_diagram(d), "diagram of graph invalid")
     counts = algebraic_counts(d)
     for key in ("I0_o", "I0_e", "I1_o", "I1_e"):
-        _need(counts[key] == prof.count(key), f"diagram count {key}")
-    _need(counts["I2"] == prof.count("I2") % 2, "diagram cross-cap count")
+        _need(counts[key] == prof[key], f"diagram count {key}")
+    _need(counts["I2"] == prof["I2"] % 2, "diagram cross-cap count")
     cc = cusp_count_closed(d)
     _need(cc.cross_check == "ok", "closed cusp cross-check")
     _need(cc.count == z, "closed cusp count vs z")
@@ -197,13 +197,16 @@ def _check_one_graph(g):
     _need(cusp_count_closed(sym).count == 0, "symmetric diagram cusp count")
 
 
-def check_random_sweep(per_category=100, size=14):
+_SWEEP_SIZE = 14   # random graphs have 1 to 14 sweep steps
+
+
+def check_random_sweep(per_category=100):
     def body():
         for orientable in (True, False):
             for seed in range(per_category):
-                g = random_reeb(seed, 1 + seed % size, orientable)
+                g = random_reeb(seed, 1 + seed % _SWEEP_SIZE, orientable)
                 _check_one_graph(g)
-                g2 = random_reeb(10_000 + seed, 1 + (seed * 7) % size,
+                g2 = random_reeb(10_000 + seed, 1 + (seed * 7) % _SWEEP_SIZE,
                                  orientable)
                 u = disjoint_union(g, g2)
                 cat = (Category.ORIENTED if orientable
@@ -230,23 +233,14 @@ def check_fixtures():
     _need((pieces.n1, pieces.n2, pieces.n3, pieces.n4) == (2, 1, 1, 0),
           "torus decomposition")
     _need(euler_characteristic(rp2) == 1, "projective-plane Euler number")
-    _need(not cobordant(rp2, make_sphere_unoriented(), Category.UNORIENTED),
+    sph_u = replace(sph, orientable=False)
+    _need(not cobordant(rp2, sph_u, Category.UNORIENTED),
           "projective plane must not bound")
     for cat in Category:
         if cat.oriented:
             _need(cobordant(tor, sph, cat), f"torus vs sphere in {cat.value}")
-    _need(cobordant(torus_unoriented(), make_sphere_unoriented(),
+    _need(cobordant(replace(tor, orientable=False), sph_u,
                     Category.UNORIENTED), "torus vs sphere, unoriented")
-
-
-def make_sphere_unoriented():
-    g = sphere_graph()
-    return g.__class__(False, g.vertices, g.edges)
-
-
-def torus_unoriented():
-    g = torus_graph()
-    return g.__class__(False, g.vertices, g.edges)
 
 
 def run_all(per_category=100) -> list[CheckResult]:

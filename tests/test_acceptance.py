@@ -55,7 +55,7 @@ def test_criterion_4_catalog_validity():
 
 def test_criterion_5_random_graph_sweep():
     def body():
-        selftest.check_random_sweep(per_category=1000, size=14)()
+        selftest.check_random_sweep(per_category=1000)()
         # cobordance criterion in all four categories
         for cat in Category:
             orientable = cat.oriented

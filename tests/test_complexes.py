@@ -381,3 +381,25 @@ def test_chain_map_condition_is_checked():
     f = ChainMap(a, b, (IntMatrix.identity(1), IntMatrix.identity(1)))
     bad = validate_chain_map(f)
     assert bad and bad[0].kind == "chain-map square fails"
+
+
+def _one_arrow_complexes():
+    """x <- y with a well-shaped 1x1 differential, and the same degrees
+    with a 2x1 one."""
+    gens = ((Generator("x", RingTag.FREE),), (Generator("y", RingTag.FREE),))
+    good = MixedComplex(Direction.HOMOLOGICAL, gens, (IntMatrix.identity(1),))
+    bad = MixedComplex(Direction.HOMOLOGICAL, gens,
+                       (IntMatrix.from_rows([[1], [0]], 1),))
+    return good, bad
+
+
+@pytest.mark.parametrize("bad_end", ["source", "target"])
+def test_chain_map_on_malformed_complex_reports_its_shape(bad_end):
+    good, bad = _one_arrow_complexes()
+    ends = (bad, good) if bad_end == "source" else (good, bad)
+    f = ChainMap(*ends, (IntMatrix.identity(1), IntMatrix.identity(1)))
+    found = validate_chain_map(f)
+    assert found and found[0].kind == "shape"
+    assert "differential is 2x1, expected 1x1" in found[0].detail
+    with pytest.raises(ComplexError, match="not a chain map: shape"):
+        induced_map(f, 0)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldcob.diagrams import (BoundaryMode, CircleFiberDiagram, CuspCount,
                               DiagramError, DiagramEvent, RegularArc,
@@ -127,3 +129,85 @@ def test_json_rejects_malformed():
         diagram_from_json({"mode": "OPEN", "cells": []})
     with pytest.raises(DiagramError):
         diagram_from_json("not a diagram")
+
+
+@st.composite
+def _walk_diagrams(draw):
+    """A valid CLOSED or WITH_BOUNDARY diagram built by a random walk:
+    random events from a start arc, then events back to it."""
+    mode = draw(st.sampled_from(BoundaryMode))
+    boundary = mode is BoundaryMode.WITH_BOUNDARY
+    start = RegularArc(draw(st.integers(0, 3)),
+                       draw(st.integers(0, 3)) if boundary else 0)
+    arcs, events = [start], []
+
+    def step(cls, after):
+        events.append(DiagramEvent(cls, draw(st.integers(1, 6))))
+        arcs.append(after)
+
+    classes = ["I0", "I1", "Ia" if boundary else "I2"]
+    for _ in range(draw(st.integers(0, 12))):
+        here = arcs[-1]
+        cls = draw(st.sampled_from(classes))
+        if cls == "I2":
+            step(cls, here)
+        elif cls in ("I0", "I1"):
+            dc = draw(st.sampled_from([-1, 1] if here.circles else [1]))
+            step(cls, RegularArc(here.circles + dc, here.arcs))
+        else:
+            # an Ia event changes the total by one, split any way
+            total = here.total + draw(st.sampled_from(
+                [-1, 1] if here.total else [1]))
+            circles = draw(st.integers(0, total))
+            step(cls, RegularArc(circles, total - circles))
+    while arcs[-1] != start:
+        here = arcs[-1]
+        if here.circles != start.circles:
+            dc = 1 if here.circles < start.circles else -1
+            step(draw(st.sampled_from(["I0", "I1"])),
+                 RegularArc(here.circles + dc, here.arcs))
+        else:
+            da = 1 if here.arcs < start.arcs else -1
+            step("Ia", RegularArc(here.circles, here.arcs + da))
+    cells = [start]
+    for ev, after in zip(events, arcs[1:-1] + [None]):
+        cells.append(ev)
+        if after is not None:
+            cells.append(after)
+    return CircleFiberDiagram(mode, tuple(cells))
+
+
+def _reference_counts(d):
+    """The counting rule written out per event: the sign is +1 when the
+    regular total before the event is even, the parity is that of the
+    event's components, and I2 is counted mod 2."""
+    counts = dict.fromkeys(["I0_o", "I0_e", "I1_o", "I1_e", "Ia_o", "Ia_e",
+                            "I2"], 0)
+    for i in range(1, len(d.cells), 2):
+        ev, before = d.cells[i], d.cells[i - 1]
+        if ev.fiber_class == "I2":
+            counts["I2"] = (counts["I2"] + 1) % 2
+            continue
+        sign = 1 if (before.circles + before.arcs) % 2 == 0 else -1
+        parity = "o" if ev.components % 2 == 1 else "e"
+        counts[f"{ev.fiber_class}_{parity}"] += sign
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_walk_diagrams())
+def test_counting_rule_matches_per_event_reference(d):
+    assert not validate_diagram(d)
+    ref = _reference_counts(d)
+    assert algebraic_counts(d) == ref
+    lhs = -ref["I0_o"] + ref["I0_e"]
+    rhs = -ref["Ia_o"] + ref["Ia_e"] - ref["I1_o"] + ref["I1_e"]
+    want = CuspCount(lhs, "ok" if lhs == rhs else "mismatch", lhs, rhs)
+    if d.mode is BoundaryMode.CLOSED:
+        assert cusp_count_closed(d) == want
+        with pytest.raises(DiagramError, match="needs a WITH_BOUNDARY"):
+            cusp_count_boundary(d)
+    else:
+        assert cusp_count_boundary(d) == want
+        with pytest.raises(DiagramError, match="needs a CLOSED"):
+            cusp_count_closed(d)
