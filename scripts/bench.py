@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Layer timings of the integer core (``intmat`` and ``complexes``).
+"""Layer timings of the integer core (``intmat`` and ``complexes``) and of
+the surface layer (``reeb`` and ``diagrams``).
 
 Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
 
@@ -8,7 +9,12 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   largest bit length of an entry of u, v, u^-1 or v^-1;
 - ``homology`` in every degree of a ~200-cell torus, Klein bottle, RP2 and
   genus-2 complex and of each one's Z2 dual, bypassing the cache;
-- ``express_class`` on one reused Klein-bottle presentation.
+- ``express_class`` on one reused Klein-bottle presentation;
+- ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
+  ``from_reeb`` and ``diagram_from_json`` on nonorientable
+  ``gen.reeb_case`` graphs of 10^3, 10^4 and 10^5 vertices and their
+  closed diagrams, each call timed on its own and each run on a freshly
+  parsed graph, so that no step reads what an earlier run cached.
 
 Each timing is the median (and the least) of REPEAT runs.  The results
 go under ``--label`` into the JSON file ``--out`` (``BENCH_5.json`` at the
@@ -28,6 +34,7 @@ import platform
 import random
 import statistics
 import sys
+import time
 import timeit
 from pathlib import Path
 
@@ -37,6 +44,7 @@ REPEAT = 5
 SIZES = (20, 40, 60)
 CELLS = 200
 QUERIES = 200
+GRAPH_SIZES = (10**3, 10**4, 10**5)
 
 
 def _timed(fn):
@@ -118,6 +126,41 @@ def bench_express(gen, rng):
             "per_query_min_s": per_query[1] / QUERIES}
 
 
+def bench_surface(gen, rng):
+    from foldcob.diagrams import diagram_from_json, from_reeb
+    from foldcob.reeb import (Category, graph_from_json, invariants,
+                              reduce_to_normal_form)
+
+    def timed(runs, name, fn, *args):
+        t = time.perf_counter()
+        out = fn(*args)
+        runs.setdefault(name, []).append(time.perf_counter() - t)
+        return out
+
+    out = []
+    category = Category.UNORIENTED
+    for n in GRAPH_SIZES:
+        case = gen.reeb_case(rng, n, False)
+        runs = {}
+        for _ in range(REPEAT):
+            g = timed(runs, "graph_from_json", graph_from_json, case.doc)
+            inv = timed(runs, "invariants", invariants, g, category)
+            red = timed(runs, "reduce_to_normal_form", reduce_to_normal_form,
+                        g, category)
+            timed(runs, "from_reeb", from_reeb, graph_from_json(case.doc))
+            d = timed(runs, "diagram_from_json", diagram_from_json,
+                      case.diagram)
+            if ((inv.z, inv.w) != (case.z, case.w) or red.invariants != inv
+                    or len(d.cells) != len(case.diagram["cells"])):
+                sys.exit("error: the surface layer gave a wrong answer")
+        row = {"vertices": case.vertices, "edges": case.edges}
+        for name, secs in runs.items():
+            row[name + "_s"] = statistics.median(secs)
+            row[name + "_min_s"] = min(secs)
+        out.append(row)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=REPO / "src",
@@ -134,7 +177,8 @@ def main(argv=None):
            "seed": SEED, "repeat": REPEAT,
            "matrices": bench_matrices(gen, rng),
            "homology": bench_homology(gen, rng),
-           "express": bench_express(gen, rng)}
+           "express": bench_express(gen, rng),
+           "surface": bench_surface(gen, random.Random(SEED))}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

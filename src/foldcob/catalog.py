@@ -324,20 +324,28 @@ class Hypercohomology:
     comparison_is_isomorphism: bool
 
 
-def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
-    """Cohomology of the dualized free approximation, with the
-    comparison map from the cohomology of the dualized mixed complex."""
-    if deg not in (0, 1, 2):
-        raise ComplexError("degree out of range 0..2")
+@functools.lru_cache(maxsize=None)
+def _dual_collapse(v: MixedComplex, g: RingTag) -> ChainMap:
+    """The collapse map of ``free_approximation(v)`` dualized over g, from
+    ``hom_dual(v, g)`` to the dual of the free approximation; built and
+    checked once per ring."""
     f, lam = free_approximation(v)
-    dual_v = hom_dual(v, g)
-    dual_f = hom_dual(f, g)
-    dual_lam = ChainMap(dual_v, dual_f, tuple(
+    dual_lam = ChainMap(hom_dual(v, g), hom_dual(f, g), tuple(
         _dual_matrix(m, v.generators[d], f.generators[d], g)
         for d, m in enumerate(lam.matrices)))
     bad = validate_chain_map(dual_lam)
     if bad:
         raise ComplexError(f"dualized collapse map fails: {bad[0]}")
+    return dual_lam
+
+
+def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
+    """Cohomology of the dualized free approximation, with the
+    comparison map from the cohomology of the dualized mixed complex."""
+    if deg not in (0, 1, 2):
+        raise ComplexError("degree out of range 0..2")
+    dual_lam = _dual_collapse(v, g)
+    dual_v, dual_f = dual_lam.source, dual_lam.target
     group = homology(dual_f, deg)
     comparison = induced_map(dual_lam, deg)
     iso = _is_isomorphism(homology(dual_v, deg), group, lambda: comparison)

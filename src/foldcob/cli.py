@@ -34,11 +34,19 @@ def _matrix_rows(m: IntMatrix):
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except RecursionError:
         raise ValueError(f"cannot read {path}: JSON nested too deeply") from None
+    except ValueError:
+        # int() refuses a number longer than sys.get_int_max_str_digits()
+        raise ValueError(f"cannot read {path}: JSON number with too many "
+                         "digits") from None
 
 
 def _cmd_catalog(args) -> int:

@@ -41,6 +41,20 @@ class DiagramEvent:
     components: int
 
 
+class _Cells(dict):
+    """Cells of one kind by their fields, each built once: ``cells[args]``
+    is ``kind(*args)``.  Cells are frozen and compare by value, so a
+    diagram can hold one object for every equal cell."""
+
+    def __init__(self, kind):
+        super().__init__()
+        self.kind = kind
+
+    def __missing__(self, args):
+        cell = self[args] = self.kind(*args)
+        return cell
+
+
 @dataclass(frozen=True)
 class CircleFiberDiagram:
     mode: BoundaryMode
@@ -51,12 +65,6 @@ class CircleFiberDiagram:
 
     def events(self):
         return self.cells[1::2]
-
-    def event_neighbors(self, event_index: int):
-        """(arc before, arc after) the event at cells[2*event_index+1]."""
-        i = 2 * event_index + 1
-        after = self.cells[(i + 1) % len(self.cells)]
-        return self.cells[i - 1], after
 
     @cached_property
     def _problems(self) -> tuple[str, ...]:
@@ -103,8 +111,10 @@ def _diagram_problems(d: CircleFiberDiagram) -> list[str]:
             out.append(f"event {i}: cross-cap class outside CLOSED mode")
     if out:
         return out
-    for i, ev in enumerate(d.events()):
-        before, after = d.event_neighbors(i)
+    # event i lies between arc i and arc i + 1, cyclically
+    arcs = d.arcs()
+    for i, (before, ev, after) in enumerate(zip(arcs, d.events(),
+                                                arcs[1:] + arcs[:1])):
         dc = after.circles - before.circles
         da = after.arcs - before.arcs
         if ev.fiber_class in ("I0", "I1"):
@@ -185,10 +195,11 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
     The function misses one point of the circle, so the diagram starts
     and ends with an empty arc.
     """
+    arcs, events = _Cells(RegularArc), _Cells(DiagramEvent)
     cells = []
     for cls, components, below in _valid_sweep(g).events():
         # the regular level below the critical value, then its fiber
-        cells += RegularArc(below), DiagramEvent(cls, components)
+        cells += arcs[below, 0], events[cls, components]
     return CircleFiberDiagram(BoundaryMode.CLOSED,
                               tuple(cells) or (RegularArc(0),))
 
@@ -261,23 +272,34 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
         raise DiagramError("diagram document must be a JSON object")
     try:
         mode = _parse_enum(BoundaryMode, doc["mode"], "mode")
+        arcs, events = _Cells(RegularArc), _Cells(DiagramEvent)
         cells = []
         for cell in doc["cells"]:
             if "arc" in cell:
                 arc = cell["arc"]
-                cells.append(RegularArc(_json_int(arc["circles"], "circles"),
-                                        _json_int(arc.get("arcs", 0), "arcs")))
+                circles = arc["circles"]
+                if type(circles) is not int:
+                    circles = _json_int(circles, "circles")
+                n = arc.get("arcs", 0)
+                if type(n) is not int:
+                    n = _json_int(n, "arcs")
+                cells.append(arcs[circles, n])
             elif "event" in cell:
                 event = cell["event"]
-                if not isinstance(event["class"], str):
+                cls = event["class"]
+                if not isinstance(cls, str):
                     raise ValueError("event class must be a string, not "
-                                     f"{type(event['class']).__name__}")
-                cells.append(DiagramEvent(
-                    event["class"],
-                    _json_int(event["components"], "components")))
+                                     f"{type(cls).__name__}")
+                n = event["components"]
+                if type(n) is not int:
+                    n = _json_int(n, "components")
+                cells.append(events[cls, n])
             else:
                 raise ValueError(f"cell {len(cells)} is neither arc nor event")
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise DiagramError("malformed diagram document: missing field "
+                           f"{exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise DiagramError(f"malformed diagram document: {exc}") from exc
     d = CircleFiberDiagram(mode, tuple(cells))
     _require_valid(d)

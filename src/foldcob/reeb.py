@@ -23,6 +23,18 @@ class VertexKind(Enum):
     SADDLE = "SADDLE"
     DEG2 = "DEG2"
 
+    # Enum hashes a member by its name in Python code, which every lookup
+    # in a kind-keyed table pays; members are singletons compared by
+    # identity, so the identity hash agrees with equality and runs in C.
+    __hash__ = object.__hash__
+
+
+# the members as plain names: reading ``VertexKind.MIN`` in a loop goes
+# through the Enum class's attribute lookup on every iteration
+_MIN, _MAX, _SADDLE, _DEG2 = VertexKind
+# kinds by their JSON value, read without a call of the Enum class
+_KIND = {k.value: k for k in VertexKind}
+
 
 class Category(Enum):
     ORIENTED = "oriented"
@@ -88,12 +100,10 @@ class FiberProfile:
     counts: dict
 
 
-_EVENT_CLASS = {VertexKind.MIN: "I0", VertexKind.MAX: "I0",
-                VertexKind.SADDLE: "I1", VertexKind.DEG2: "I2"}
+_EVENT_CLASS = {_MIN: "I0", _MAX: "I0", _SADDLE: "I1", _DEG2: "I2"}
 
 
-_DEGREE = {VertexKind.MIN: 1, VertexKind.MAX: 1,
-           VertexKind.SADDLE: 3, VertexKind.DEG2: 2}
+_DEGREE = {_MIN: 1, _MAX: 1, _SADDLE: 3, _DEG2: 2}
 
 
 def _value_key(x: Fraction):
@@ -122,6 +132,9 @@ class _Sweep:
     upper end, so the edges crossing a regular level are the ups minus
     the downs of the vertices under it: one sort and one pass over the
     edges give every count, in O((V+E) log V).
+
+    The totals the invariants read, ``kinds``, ``split`` and ``tally``,
+    are worked out from these lists on first use and kept.
     """
 
     def __init__(self, g: ReebGraph):
@@ -170,36 +183,37 @@ class _Sweep:
             if d != _DEGREE[kind]:
                 problems.append(f"vertex {_show_id(v.id)}: {kind.value} "
                                 f"has degree {d}")
-            elif kind is VertexKind.MIN and u != 1:
+            elif kind is _MIN and u != 1:
                 sides.append(f"vertex {_show_id(v.id)}: "
                              "MIN must have its neighbor above")
-            elif kind is VertexKind.MAX and d - u != 1:
+            elif kind is _MAX and d - u != 1:
                 sides.append(f"vertex {_show_id(v.id)}: "
                              "MAX must have its neighbor below")
-            elif kind is VertexKind.SADDLE and u not in (1, 2):
+            elif kind is _SADDLE and u not in (1, 2):
                 sides.append(f"vertex {_show_id(v.id)}: "
                              "saddle needs edges on both sides")
-            elif kind is VertexKind.DEG2 and (u != 1 or d - u != 1):
+            elif kind is _DEG2 and (u != 1 or d - u != 1):
                 sides.append(f"vertex {_show_id(v.id)}: "
                              "DEG2 needs one edge on each side")
         # every degree problem comes before every side problem
         problems += sides
-        if g.orientable and any(v.kind is VertexKind.DEG2 for v in vs):
+        if g.orientable and any(v.kind is _DEG2 for v in vs):
             problems.append("DEG2 vertex in an orientable graph")
         if problems:
             return
+        self.order = [vs[i] for i in by_value]
+        self.up = [up[i] for i in by_value]
+        self.down = [deg[i] - up[i] for i in by_value]
+        self.below = below = []
         crossing = 0
-        for i in by_value:
-            self.order.append(vs[i])
-            self.up.append(up[i])
-            self.down.append(deg[i] - up[i])
-            self.below.append(crossing)
-            crossing += 2 * up[i] - deg[i]
+        for u, d in zip(self.up, self.down):
+            below.append(crossing)
+            crossing += u - d
 
     def saddle_signs(self):
         """+1 or -1 for each saddle, in value order."""
         return [1 if u == 2 else -1
-                for v, u in zip(self.order, self.up) if v.kind is VertexKind.SADDLE]
+                for v, u in zip(self.order, self.up) if v.kind is _SADDLE]
 
     def events(self):
         """(class, components, regular components below) of each vertex's
@@ -207,6 +221,25 @@ class _Sweep:
         for v, down, below in zip(self.order, self.down, self.below):
             # the vertex's own component plus every edge through its level
             yield _EVENT_CLASS[v.kind], 1 + below - down, below
+
+    @cached_property
+    def kinds(self) -> dict:
+        """The number of vertices of each kind."""
+        kinds = [v.kind for v in self.order]
+        return {k: kinds.count(k) for k in VertexKind}
+
+    @cached_property
+    def split(self) -> tuple[int, int]:
+        """(n2, n3): the saddles with two upper and with two lower edges."""
+        signs = self.saddle_signs()
+        n2 = signs.count(1)
+        return n2, len(signs) - n2
+
+    @cached_property
+    def tally(self) -> dict:
+        """The signed tally of the graph's singular fibers.  Callers share
+        it, so they read it and never change it."""
+        return _tally(_signed(self.events()))
 
 
 def _signed(events):
@@ -260,11 +293,11 @@ def fiber_profile(g: ReebGraph) -> FiberProfile:
     parity-flipping event's sign is +1 when the regular-level component
     parity goes even to odd with increasing value."""
     s = _valid_sweep(g)
-    signed = list(_signed(s.events()))
     return FiberProfile(
         tuple(FiberEvent(v.value, cls, parity, sign, components)
-              for v, (cls, components, parity, sign) in zip(s.order, signed)),
-        _tally(signed))
+              for v, (cls, components, parity, sign)
+              in zip(s.order, _signed(s.events()))),
+        dict(s.tally))
 
 
 @dataclass(frozen=True)
@@ -278,10 +311,12 @@ def invariants(g: ReebGraph, category: Category) -> InvariantVector:
     s = _valid_sweep(g)
     if category.oriented and not g.orientable:
         raise CategoryError("oriented category requires an orientable graph")
-    z = g.count(VertexKind.MAX) - g.count(VertexKind.MIN)
-    w = 0 if category.oriented else g.count(VertexKind.DEG2) % 2
-    _identity(z == sum(s.saddle_signs()), "strand-count")
-    _identity(z == _c2(_tally(_signed(s.events()))), "signed minimum/maximum")
+    kinds = s.kinds
+    z = kinds[_MAX] - kinds[_MIN]
+    w = 0 if category.oriented else kinds[_DEG2] % 2
+    n2, n3 = s.split
+    _identity(z == n2 - n3, "strand-count")
+    _identity(z == _c2(s.tally), "signed minimum/maximum")
     return InvariantVector(z, w, category)
 
 
@@ -294,17 +329,16 @@ class PieceMultiset:
 
 
 def decompose(g: ReebGraph) -> PieceMultiset:
-    signs = _valid_sweep(g).saddle_signs()
-    n2 = signs.count(1)
-    return PieceMultiset(
-        n1=g.count(VertexKind.MIN) + g.count(VertexKind.MAX),
-        n2=n2, n3=len(signs) - n2, n4=g.count(VertexKind.DEG2))
+    s = _valid_sweep(g)
+    kinds = s.kinds
+    n2, n3 = s.split
+    return PieceMultiset(n1=kinds[_MIN] + kinds[_MAX], n2=n2, n3=n3,
+                         n4=kinds[_DEG2])
 
 
 def euler_characteristic(g: ReebGraph) -> int:
-    _valid_sweep(g)
-    return (g.count(VertexKind.MIN) + g.count(VertexKind.MAX)
-            - g.count(VertexKind.SADDLE) - g.count(VertexKind.DEG2))
+    kinds = _valid_sweep(g).kinds
+    return kinds[_MIN] + kinds[_MAX] - kinds[_SADDLE] - kinds[_DEG2]
 
 
 def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
@@ -313,7 +347,7 @@ def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
     edges = []
     nid = 0
     for i in range(abs(z)):
-        base = Fraction(4 * i)
+        base = 4 * i
         if z > 0:
             kinds = [("MIN", 0), ("SADDLE", 1), ("MAX", 2), ("MAX", 3)]
         else:
@@ -330,7 +364,7 @@ def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
             edges += [(piece[0], piece[2]), (piece[1], piece[2]),
                       (piece[2], piece[3])]
     if w:
-        base = Fraction(4 * abs(z))
+        base = 4 * abs(z)
         vertices += [(nid, base, "MIN"), (nid + 1, base + 1, "DEG2"),
                      (nid + 2, base + 2, "MAX")]
         edges += [(nid, nid + 1), (nid + 1, nid + 2)]
@@ -398,8 +432,7 @@ def disjoint_union(g1: ReebGraph, g2: ReebGraph) -> ReebGraph:
                      tuple(vertices), tuple(edges))
 
 
-_FLIP = {VertexKind.MIN: VertexKind.MAX, VertexKind.MAX: VertexKind.MIN,
-         VertexKind.SADDLE: VertexKind.SADDLE, VertexKind.DEG2: VertexKind.DEG2}
+_FLIP = {_MIN: _MAX, _MAX: _MIN, _SADDLE: _SADDLE, _DEG2: _DEG2}
 
 
 def negate(g: ReebGraph) -> ReebGraph:
@@ -511,13 +544,38 @@ def graph_from_json(doc) -> ReebGraph:
         if not isinstance(orientable, bool):
             raise ValueError("orientable must be true or false, not "
                              f"{type(orientable).__name__}")
-        vertices = tuple(Vertex(_parse_id(v["id"]), _parse_frac(v["value"]),
-                                _parse_enum(VertexKind, v["kind"], "kind"))
-                         for v in doc["vertices"])
-        edges = tuple((_parse_id(a), _parse_id(b)) for a, b in doc["edges"])
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices = []
+        for n, v in enumerate(doc["vertices"]):
+            try:
+                i = v["id"]
+            except TypeError:
+                raise ValueError(f"vertex {n} must be an object, not "
+                                 f"{type(v).__name__}") from None
+            if type(i) is not int and type(i) is not str:
+                i = _parse_id(i)
+            value = _parse_frac(v["value"])
+            raw = v["kind"]
+            kind = _KIND.get(raw) if type(raw) is str else None
+            vertices.append(Vertex(i, value, kind
+                                   or _parse_enum(VertexKind, raw, "kind")))
+        edges = []
+        for n, e in enumerate(doc["edges"]):
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {n} must be a pair of vertex "
+                                 "ids") from None
+            if type(a) is not int and type(a) is not str:
+                a = _parse_id(a)
+            if type(b) is not int and type(b) is not str:
+                b = _parse_id(b)
+            edges.append((a, b))
+    except KeyError as exc:
+        raise ReebError(f"malformed graph document: missing field {exc}") \
+            from exc
+    except (TypeError, ValueError) as exc:
         raise ReebError(f"malformed graph document: {exc}") from exc
-    g = ReebGraph(orientable, vertices, edges)
+    g = ReebGraph(orientable, tuple(vertices), tuple(edges))
     _valid_sweep(g)
     return g
 
@@ -558,17 +616,28 @@ _MAX_VALUE_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
+# An optional "-", ASCII digits and optionally "/" and ASCII digits: for
+# these Fraction(str) gives exactly Fraction(int(p), int(q)), which skips
+# its slower general parser.
+_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_frac(s) -> Fraction:
     if isinstance(s, str):
         if len(s) > _MAX_VALUE_CHARS:
             raise ValueError(f"rational value longer than {_MAX_VALUE_CHARS} "
                              "characters")
-        exp = _EXPONENT.search(s)
-        if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
-            raise ValueError("rational value exponent beyond "
-                             f"+-{_MAX_VALUE_EXPONENT}")
+        ratio = _INT_RATIO.fullmatch(s)
+        if ratio is None:
+            exp = _EXPONENT.search(s)
+            if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
+                raise ValueError("rational value exponent beyond "
+                                 f"+-{_MAX_VALUE_EXPONENT}")
         try:
-            return Fraction(s)
+            if ratio is None:
+                return Fraction(s)
+            p, q = ratio.groups()
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except ZeroDivisionError:
             raise ValueError("rational value with zero denominator") from None
     if isinstance(s, int) and not isinstance(s, bool):

@@ -454,6 +454,41 @@ def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
     assert len(line.encode()) < 200
 
 
+def _rp2_text_with(edit):
+    return json.dumps(_rp2_doc_with(edit))
+
+
+_HUGE_VALUE = json.dumps(graph_to_json(projective_plane_graph())).replace(
+    '"0/1"', "9" * 5000, 1)
+
+
+# each used to leak a Python message: a list index, an unpacking or an
+# int() digit-limit error, or a bare KeyError echo
+@pytest.mark.parametrize("text, argv, needle, leak", [
+    (_rp2_text_with(lambda d: d.update(
+        vertices=[[v["id"], v["value"], v["kind"]] for v in d["vertices"]])),
+     ["invariants", "--category", "unoriented"],
+     "vertex 0 must be an object, not list", "indices"),
+    (_rp2_text_with(lambda d: d.update(edges=[0, 1])),
+     ["invariants", "--category", "unoriented"],
+     "edge 0 must be a pair of vertex ids", "unpack"),
+    (_rp2_text_with(lambda d: d["edges"].append([0, 1, 2])),
+     ["invariants", "--category", "unoriented"],
+     "edge 2 must be a pair of vertex ids", "unpack"),
+    (json.dumps({k: v for k, v in _diagram_with().items() if k != "mode"}),
+     ["cusp"], "missing field 'mode'", "document: 'mode'"),
+    (_HUGE_VALUE, ["invariants", "--category", "unoriented"],
+     "JSON number with too many digits", "set_int_max_str_digits"),
+], ids=["vertex-list", "bare-int-edges", "edge-triple", "no-mode",
+        "5000-digit-int"])
+def test_input_error_names_the_field(tmp_path, text, argv, needle, leak):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    line = cli_file_error(path, *argv)
+    assert needle in line
+    assert leak not in line
+
+
 @pytest.mark.parametrize("argv", [["invariants", "--category", "unoriented"],
                                   ["cusp"]])
 def test_deeply_nested_json_exits_1_without_traceback(tmp_path, argv):

@@ -12,8 +12,9 @@ import pytest
 
 import foldcob
 from foldcob import complexes, diagrams, reeb
-from foldcob.catalog import (CatalogId, catalog, free_approximation,
-                             hypercohomology, suspension_map)
+from foldcob.catalog import (CatalogId, _dual_collapse, catalog,
+                             free_approximation, hypercohomology,
+                             suspension_map)
 from foldcob.cli import main
 from foldcob.complexes import (ChainMap, ComplexError, Direction, RingTag,
                                induced_map, make_complex, validate_chain_map)
@@ -22,8 +23,9 @@ from foldcob.diagrams import (CircleFiberDiagram, DiagramEvent, RegularArc,
                               diagram_from_json, diagram_to_json, from_reeb,
                               validate_diagram)
 from foldcob.intmat import IntMatrix
-from foldcob.reeb import (Category, fiber_profile, graph_from_json,
-                          graph_to_json, invariants, make_graph, random_reeb,
+from foldcob.reeb import (Category, decompose, euler_characteristic,
+                          fiber_profile, graph_from_json, graph_to_json,
+                          invariants, make_graph, random_reeb,
                           reduce_to_normal_form, validate_reeb)
 
 
@@ -80,6 +82,39 @@ def test_surface_pipeline_sweeps_each_graph_once(sweeps, orientable):
     fiber_profile(g)
     from_reeb(g)
     assert sweeps[0] == 1
+
+
+@pytest.mark.parametrize("orientable", [True, False])
+def test_graph_totals_come_from_the_sweep_once(monkeypatch, orientable):
+    g = random_reeb(7, 80, orientable)
+    category = Category.ORIENTED if orientable else Category.UNORIENTED
+    tallies, identities = [], []
+    tally, identity = reeb._tally, reeb._identity
+
+    def counted_tally(*args):
+        tallies.append(args)
+        return tally(*args)
+
+    def counted_identity(holds, name):
+        identities.append(name)
+        identity(holds, name)
+
+    def no_count(self, kind):
+        raise AssertionError("ReebGraph.count pass")
+
+    monkeypatch.setattr(reeb, "_tally", counted_tally)
+    monkeypatch.setattr(reeb, "_identity", counted_identity)
+    monkeypatch.setattr(reeb.ReebGraph, "count", no_count)
+    for _ in range(2):
+        invariants(g, category)
+        decompose(g)
+        reduce_to_normal_form(g, category)
+        euler_characteristic(g)
+    assert len(tallies) == 1
+    # the reads are cached, the identities are checked on every call
+    per_round = ["strand-count", "signed minimum/maximum"] * 2 + [
+        "z = n2 - n3"] + ([] if orientable else ["w = n4 mod 2"])
+    assert identities == per_round * 2
 
 
 def test_cobordant_command_sweeps_each_graph_once(sweeps, capsys, tmp_path):
@@ -160,12 +195,13 @@ def test_identities_fire_under_python_O():
 
 def test_six_hyper_results_check_each_chain_map_once(map_checks):
     free_approximation.cache_clear()
+    _dual_collapse.cache_clear()
     v32 = catalog(CatalogId.V32)
     for coeff in RingTag:
         for deg in range(3):
             hypercohomology(v32, coeff, deg)
-    # the collapse map once, and one dualized collapse map per result
-    assert len(map_checks) <= 7
+    # the collapse map once, and one dualized collapse map per ring
+    assert len(map_checks) <= 3
     assert len({id(f) for f in map_checks}) == len(map_checks)
 
 

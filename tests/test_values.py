@@ -1,0 +1,139 @@
+"""Graph values parse exactly: ``reeb._parse_frac`` reads integer and
+"p/q" strings with int() alone and must agree, value for value and
+message for message, with the bounded ``Fraction(str)`` parser it
+replaces on those strings.  Rebuilt seeded graphs round-trip through
+JSON with every value exact."""
+
+import random
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from foldcob.reeb import (VertexKind, _parse_frac, graph_from_json,
+                          graph_to_json, invariants, Category)
+
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
+def _reference_parse_frac(s) -> Fraction:
+    """Every value through the bounded Fraction(str) parser, as before the
+    integer and "p/q" strings were read with int()."""
+    if isinstance(s, str):
+        if len(s) > 1000:
+            raise ValueError("rational value longer than 1000 characters")
+        exp = _EXPONENT.search(s)
+        if exp and abs(int(exp.group(1))) > 1000:
+            raise ValueError("rational value exponent beyond +-1000")
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError("rational value with zero denominator") from None
+    if isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise ValueError(f"bad rational value of type {type(s).__name__}")
+
+
+def _outcome(parse, x):
+    try:
+        value = parse(x)
+    except Exception as exc:   # the type and the message must agree too
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# ASCII digits and signs, the characters of decimals, exponents and
+# underscores, a space, a non-ASCII decimal digit and a superscript digit
+_ALPHABET = "0123456789-+/.eE_ ٣²"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.text(_ALPHABET, max_size=12), st.integers(), st.booleans()))
+@example("1/0")
+@example("-0/5")
+@example("007/003")
+@example("-12")
+@example("--1")
+@example("1/-3")
+@example(" 1/3")
+@example("1_0/3")
+@example("٣/2")
+@example("²")
+@example("1e1001")
+@example("1e_")
+@example("9" * 1000)
+@example("9" * 1001)
+@example("-" + "9" * 999)
+@example("1/" + "9" * 998)
+def test_parse_frac_agrees_with_fraction_str(x):
+    assert _outcome(_parse_frac, x) == _outcome(_reference_parse_frac, x)
+
+
+def _reeb_case(rng, n_vertices, orientable):
+    """A seeded graph document in the benchmark's form: an upward sweep
+    that opens, caps, splits, merges or twists circles, with shuffled
+    integer ids, shuffled vertices and edges, edges in either direction
+    and values t/3 for increasing integers t.  Returns the document and
+    each id's exact value and kind."""
+    kinds, edges, open_circles = [], [], []
+    cap = max(4, n_vertices // 8)
+    while len(kinds) < n_vertices or open_circles:
+        if len(kinds) >= n_vertices:
+            step = "MAX"
+        else:
+            choices = ["MIN"] if len(open_circles) < cap else []
+            if open_circles:
+                choices += ["MAX", "SADDLE_UP"] + ([] if orientable
+                                                   else ["DEG2"])
+            if len(open_circles) >= 2:
+                choices.append("SADDLE_DOWN")
+            step = rng.choice(choices)
+        v = len(kinds)
+        if step == "MIN":
+            open_circles.append(v)
+        elif step == "SADDLE_DOWN":
+            for _ in range(2):
+                edges.append((open_circles.pop(
+                    rng.randrange(len(open_circles))), v))
+            open_circles.append(v)
+        else:
+            edges.append((open_circles.pop(rng.randrange(len(open_circles))),
+                          v))
+            open_circles += {"MAX": [], "DEG2": [v], "SADDLE_UP": [v, v]}[step]
+        kinds.append("SADDLE" if step.startswith("SADDLE") else step)
+    ids = list(range(len(kinds)))
+    rng.shuffle(ids)
+    t = 0
+    want = {}
+    vertices = []
+    for v, kind in enumerate(kinds):
+        t += rng.randint(1, 5)
+        want[ids[v]] = (Fraction(t, 3), kind)
+        vertices.append({"id": ids[v], "value": f"{t}/3", "kind": kind})
+    rng.shuffle(vertices)
+    edge_list = [[ids[a], ids[b]] if rng.random() < 0.5 else [ids[b], ids[a]]
+                 for a, b in edges]
+    rng.shuffle(edge_list)
+    return ({"orientable": orientable, "vertices": vertices,
+             "edges": edge_list}, want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_benchmark_graphs_round_trip_exactly(seed):
+    rng = random.Random(seed)
+    doc, want = _reeb_case(rng, rng.choice([40, 120, 500]), seed % 2 == 0)
+    g = graph_from_json(doc)
+    assert {v.id: (v.value, v.kind.value) for v in g.vertices} == want
+    assert sorted(map(tuple, doc["edges"])) == sorted(g.edges)
+    out = graph_to_json(g)
+    again = graph_from_json(out)
+    assert graph_to_json(again) == out
+    assert set(again.vertices) == set(g.vertices)
+    assert again.edges == g.edges
+    kinds = [kind for _, kind in want.values()]
+    category = Category.ORIENTED if doc["orientable"] else Category.UNORIENTED
+    assert invariants(again, category).z == (kinds.count("MAX")
+                                             - kinds.count("MIN"))
+    assert all(isinstance(v.kind, VertexKind) for v in again.vertices)
