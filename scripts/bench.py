@@ -14,7 +14,11 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   ``from_reeb`` and ``diagram_from_json`` on nonorientable
   ``gen.reeb_case`` graphs of 10^3, 10^4 and 10^5 vertices and their
   closed diagrams, each call timed on its own and each run on a freshly
-  parsed graph, so that no step reads what an earlier run cached.
+  parsed graph, so that no step reads what an earlier run cached;
+- the wall time of one ``python -m foldcob.cli`` subprocess, spawn to
+  exit, per subcommand: the catalog commands, ``selftest``, and
+  ``invariants``, ``reduce``, ``cobordant`` and ``cusp`` on the
+  ``gen.reeb_case`` graphs and diagrams of CLI_GRAPH_SIZES vertices.
 
 Each timing is the median (and the least) of REPEAT runs.  The results
 go under ``--label`` into the JSON file ``--out`` (``BENCH_5.json`` at the
@@ -33,7 +37,9 @@ import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from pathlib import Path
@@ -45,6 +51,12 @@ SIZES = (20, 40, 60)
 CELLS = 200
 QUERIES = 200
 GRAPH_SIZES = (10**3, 10**4, 10**5)
+CLI_GRAPH_SIZES = (10**3, 10**5)
+CLI_COMMANDS = (["catalog", "list"], ["catalog", "export", "--id", "V32"],
+                ["homology", "--id", "V32", "--deg", "1"],
+                ["hyper", "--id", "V32", "--coeff", "Z", "--deg", "1"],
+                ["suspension", "--variant", "co_Z"],
+                ["identities", "--id", "CO32"], ["selftest"])
 
 
 def _timed(fn):
@@ -161,6 +173,38 @@ def bench_surface(gen, rng):
     return out
 
 
+def bench_cli(gen, rng, src):
+    """Median and least wall seconds of each CLI command, one subprocess at
+    a time, labelled by its argv with file paths left out; a command that
+    does not exit 0 stops the run."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def timed(argv, label):
+        def once():
+            proc = subprocess.run([sys.executable, "-m", "foldcob.cli", *argv],
+                                  capture_output=True, env=env)
+            if proc.returncode:
+                sys.exit(f"error: foldcob {label} exited {proc.returncode}")
+        secs = _timed(once)
+        return {"command": label, "wall_s": secs[0], "wall_min_s": secs[1]}
+
+    out = [timed(argv, " ".join(argv)) for argv in CLI_COMMANDS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in CLI_GRAPH_SIZES:
+            case = gen.reeb_case(rng, n, False)
+            graph, diagram = Path(tmp, "graph.json"), Path(tmp, "diagram.json")
+            graph.write_text(json.dumps(case.doc))
+            diagram.write_text(json.dumps(case.diagram))
+            cat = ["--category", "unoriented"]
+            for argv in (["invariants", "--in", str(graph), *cat],
+                         ["reduce", "--in", str(graph), *cat],
+                         ["cobordant", "--a", str(graph), "--b", str(graph),
+                          *cat],
+                         ["cusp", "--in", str(diagram)]):
+                out.append(timed(argv, f"{argv[0]} <{case.vertices} vertices>"))
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=REPO / "src",
@@ -178,7 +222,8 @@ def main(argv=None):
            "matrices": bench_matrices(gen, rng),
            "homology": bench_homology(gen, rng),
            "express": bench_express(gen, rng),
-           "surface": bench_surface(gen, random.Random(SEED))}
+           "surface": bench_surface(gen, random.Random(SEED)),
+           "cli": bench_cli(gen, random.Random(SEED), args.src.resolve())}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("runs", {})[args.label] = run
     args.out.write_text(json.dumps(doc, indent=1) + "\n")

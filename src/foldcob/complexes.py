@@ -223,14 +223,20 @@ def validate_complex(cx: MixedComplex) -> list[Violation]:
 
 @dataclass(frozen=True)
 class AbelianGroupPresentation:
+    """Z^free_rank + Z/t1 + Z/t2 + ..., with one basis cycle per summand
+    and the coordinate rows ``express_class`` reads: rank sparse rows,
+    fixed when the group is computed, so that a class costs one lift and
+    one dot product per coordinate.  Hashable, with a deterministic repr.
+    """
+
     free_rank: int
     torsion: tuple[int, ...]
     basis_cycles: tuple[tuple[int, ...], ...]
-    # coordinates: a lifted cycle (see _lift) goes to the cycle lattice by
-    # _to_cycle and on to the SNF coordinates of the group by _coord_map
-    _to_cycle: IntMatrix
-    _coord_map: IntMatrix
-    _positions: tuple[tuple[int, int], ...]  # (row in coord space, modulus)
+    # one (modulus, row) per coordinate, free ones (modulus 0) first: a
+    # coordinate of a cycle is the dot product of its lift (see _lift) with
+    # the row, a sorted tuple of (column, nonzero coefficient), taken mod
+    # the modulus; torsion rows are already reduced mod theirs
+    _coord_rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     @property
     def rank(self) -> int:
@@ -274,6 +280,9 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     v and v^-1, whose kernel columns of v are the cycle lattice and whose
     matching rows of v^-1 give the coordinates of any cycle in it, and one
     of the boundaries in those coordinates, tracking only u and u^-1.
+    Column i of u^-1 gives basis cycle i, and row i of u composed with
+    the kernel rows of v^-1 the coordinate row i; both are formed only
+    for the rank positions the group keeps, and stay sparse.
 
     The 64 most recently used (complex, degree) pairs are memoized; keys
     compare complexes by value, and the bound keeps a long run over many
@@ -319,28 +328,35 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
             free_pos.append((i, 0))
         elif d >= 2:
             tors_pos.append((i, d))
-    positions = tuple(free_pos + tors_pos)
-    # basis cycle i is k_basis times column i of u^-1, for kept i only
-    cycles = [{} for _ in positions]
-    for cyc, (i, _) in zip(cycles, positions):
+    # for kept i only: basis cycle i is k_basis times column i of u^-1,
+    # coordinate row i is row i of u times to_cycle
+    cycles, rows = [], []
+    for i, d in free_pos + tors_pos:
+        cyc, row = {}, {}
         for m, x in w2.uinv[i].items():
             _axpy(cyc, k_basis[m], x)
+        for m, x in w2.u[i].items():
+            _axpy(row, to_cycle[m], x)
+        if d:
+            row = {j: x % d for j, x in row.items() if x % d}
+        cycles.append(cyc)
+        rows.append((d, tuple(sorted(row.items()))))
     return AbelianGroupPresentation(
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
         basis_cycles=_dense(cycles, n),
-        _to_cycle=IntMatrix(len(ker), stacked.cols,
-                            _dense(to_cycle, stacked.cols)),
-        _coord_map=IntMatrix(len(ker), len(ker), _dense(w2.u, len(ker))),
-        _positions=positions)
+        _coord_rows=tuple(rows))
 
 
 def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     """Coordinates of a cycle's class in the homology basis.
 
-    Free coordinates are exact integers; torsion coordinates are
-    reduced modulo their coefficient.  Raises ComplexError if the vector
-    does not have one entry per generator of the degree and
+    The cycle is lifted into the kernel of [d_out | relations] and each
+    coordinate is the lift's dot product with one coordinate row of the
+    presentation, so a query costs rank sparse dot products and no
+    reduction.  Free coordinates are exact integers; torsion coordinates
+    are reduced modulo their coefficient.  Raises ComplexError if the
+    vector does not have one entry per generator of the degree and
     NotACycleError if it is not a cycle of the complex.
     """
     pres = homology(cx, deg)
@@ -350,10 +366,12 @@ def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     lifted = _lift(cx, deg, {j: c for j, c in enumerate(cycle) if c})
     if lifted is None:
         raise NotACycleError("vector is not a cycle at this degree")
-    to_cycle = pres._to_cycle
-    u = pres._coord_map.apply(to_cycle.apply(
-        [lifted.get(j, 0) for j in range(to_cycle.cols)]))
-    return tuple(u[i] if d == 0 else u[i] % d for i, d in pres._positions)
+    get = lifted.get
+    out = []
+    for d, row in pres._coord_rows:
+        x = sum(c * get(j, 0) for j, c in row)
+        out.append(x % d if d else x)
+    return tuple(out)
 
 
 @dataclass(frozen=True)

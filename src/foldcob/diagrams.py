@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .reeb import (ReebGraph, _c2, _parse_enum, _signed, _tally,
+from .reeb import (ReebGraph, _c2, _json_list, _parse_enum, _signed, _tally,
                    _valid_sweep)
 
 
@@ -274,9 +274,16 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
         mode = _parse_enum(BoundaryMode, doc["mode"], "mode")
         arcs, events = _Cells(RegularArc), _Cells(DiagramEvent)
         cells = []
-        for cell in doc["cells"]:
+        for k, cell in enumerate(_json_list(doc, "cells")):
+            # a string would pass "arc" in cell as a substring test
+            if type(cell) is not dict:
+                raise ValueError(f"cell {k} must be an object, not "
+                                 f"{type(cell).__name__}")
             if "arc" in cell:
                 arc = cell["arc"]
+                if type(arc) is not dict:
+                    raise ValueError(f"cell {k} arc must be an object, not "
+                                     f"{type(arc).__name__}")
                 circles = arc["circles"]
                 if type(circles) is not int:
                     circles = _json_int(circles, "circles")
@@ -286,6 +293,9 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                 cells.append(arcs[circles, n])
             elif "event" in cell:
                 event = cell["event"]
+                if type(event) is not dict:
+                    raise ValueError(f"cell {k} event must be an object, "
+                                     f"not {type(event).__name__}")
                 cls = event["class"]
                 if not isinstance(cls, str):
                     raise ValueError("event class must be a string, not "
@@ -295,7 +305,7 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                     n = _json_int(n, "components")
                 cells.append(events[cls, n])
             else:
-                raise ValueError(f"cell {len(cells)} is neither arc nor event")
+                raise ValueError(f"cell {k} is neither arc nor event")
     except KeyError as exc:
         raise DiagramError("malformed diagram document: missing field "
                            f"{exc}") from exc

@@ -4,7 +4,9 @@ Everything here runs over Python's unbounded integers; no floating
 point is used anywhere in the algebra core.
 
 ``IntMatrix`` is an immutable tuple of dense rows.  The Smith reduction
-works on sparse vectors instead: s, u and v^-1 as lists of sparse rows,
+is Euclidean with a least-|pivot| rule (after Kannan-Bachem and
+Havas-Majewski-Matthews), so coefficients stay small, and works on
+sparse vectors: s, u and v^-1 as lists of sparse rows,
 v and u^-1 as lists of sparse columns, each a dict {index: nonzero}.
 Every elementary row or column operation moves whole rows of the first
 three and whole columns of the other two, so it is one sparse

@@ -545,7 +545,7 @@ def graph_from_json(doc) -> ReebGraph:
             raise ValueError("orientable must be true or false, not "
                              f"{type(orientable).__name__}")
         vertices = []
-        for n, v in enumerate(doc["vertices"]):
+        for n, v in enumerate(_json_list(doc, "vertices")):
             try:
                 i = v["id"]
             except TypeError:
@@ -559,12 +559,12 @@ def graph_from_json(doc) -> ReebGraph:
             vertices.append(Vertex(i, value, kind
                                    or _parse_enum(VertexKind, raw, "kind")))
         edges = []
-        for n, e in enumerate(doc["edges"]):
-            try:
-                a, b = e
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {n} must be a pair of vertex "
-                                 "ids") from None
+        for n, e in enumerate(_json_list(doc, "edges")):
+            # only a list: a string or an object would unpack too
+            if type(e) is not list or len(e) != 2:
+                raise ValueError(f"edge {n} must be a pair of vertex ids, "
+                                 "a list of two")
+            a, b = e
             if type(a) is not int and type(a) is not str:
                 a = _parse_id(a)
             if type(b) is not int and type(b) is not str:
@@ -578,6 +578,14 @@ def graph_from_json(doc) -> ReebGraph:
     g = ReebGraph(orientable, tuple(vertices), tuple(edges))
     _valid_sweep(g)
     return g
+
+
+def _json_list(doc: dict, field: str) -> list:
+    """doc[field], which must be a JSON list."""
+    x = doc[field]
+    if type(x) is not list:
+        raise ValueError(f"{field} must be a list, not {type(x).__name__}")
+    return x
 
 
 def _parse_enum(cls, x, field):

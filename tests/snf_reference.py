@@ -9,10 +9,14 @@ require the two to return the same five matrices entry for entry.
 
 ``homology``, ``_lift`` and ``express_class`` below compute the
 library's presentations and classes densely: both transforms of both
-reductions scattered into dense matrices, one dense matrix-vector product
-per lift and dense products after them.  The library reads only the
-transforms it needs and keeps them sparse; the differential tests require
-the same presentation, field for field, and the same classes.
+reductions scattered into dense matrices, and the coordinate rows a
+presentation holds formed as the dense product u2 * to_cycle at the kept
+positions, torsion rows mod their modulus.  ``express_class`` does not
+read those rows: it takes its own two dense products, u2 * (to_cycle *
+lift), so the classes check the library's composed rows independently.
+The library reads only the transforms it needs and keeps them sparse;
+the differential tests require the same presentation, field for field,
+and the same classes.
 """
 
 from __future__ import annotations
@@ -169,6 +173,11 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     coordinates of any cycle in it, and one of the boundaries written in
     those coordinates.  Nothing is cached.
     """
+    return _homology(cx, deg)[0]
+
+
+def _homology(cx: MixedComplex, deg: int):
+    """(presentation, to_cycle, u2, kept (position, modulus) pairs)."""
     _check_degree(cx, deg)
     n = cx.n(deg)
     out = cx.out_diff(deg)
@@ -204,23 +213,27 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     positions = tuple(free_pos + tors_pos)
     basis_mat = k_basis.mul(u2inv).columns()
     cycles = tuple(basis_mat[i] for i, _ in positions)
-    return AbelianGroupPresentation(
+    coord_mat = u2.mul(to_cycle).entries
+    rows = []
+    for i, d in positions:
+        row = [x % d if d else x for x in coord_mat[i]]
+        rows.append((d, tuple((j, x) for j, x in enumerate(row) if x)))
+    pres = AbelianGroupPresentation(
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
         basis_cycles=cycles,
-        _to_cycle=to_cycle,
-        _coord_map=u2,
-        _positions=positions)
+        _coord_rows=tuple(rows))
+    return pres, to_cycle, u2, positions
 
 
 def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     """Coordinates of a cycle's class in the basis of ``homology`` above."""
-    pres = homology(cx, deg)
+    _, to_cycle, u2, positions = _homology(cx, deg)
     if len(cycle) != cx.n(deg):
         raise ComplexError(f"vector has {len(cycle)} entries, degree {deg} "
                            f"has {cx.n(deg)} generators")
     lifted = _lift(cx, deg, cycle)
     if lifted is None:
         raise NotACycleError("vector is not a cycle at this degree")
-    u = pres._coord_map.apply(pres._to_cycle.apply(lifted))
-    return tuple(u[i] if d == 0 else u[i] % d for i, d in pres._positions)
+    u = u2.apply(to_cycle.apply(lifted))
+    return tuple(u[i] if d == 0 else u[i] % d for i, d in positions)

@@ -36,6 +36,17 @@ def test_v32_generator_table():
     assert cx.names(1) == ["I0_o", "I0_e", "I1_o", "I1_e", "I2_o", "I2_e"]
 
 
+def test_v32_h1_basis_cycles():
+    # express_class coordinates on H_1(V32) are read in this basis, which
+    # the pivot order picks: Z^2 + Z2
+    cx = catalog(CatalogId.V32)
+    pres = homology(cx, 1)
+    assert (pres.free_rank, pres.torsion) == (2, (2,))
+    assert pres.basis_cycles == (cx.chain(1, {"I0_o": -1, "I1_o": 1}),
+                                 cx.chain(1, {"I0_o": -1, "I1_e": 1}),
+                                 cx.chain(1, {"I2_e": -1}))
+
+
 def test_f32_adds_one_free_generator():
     f32 = catalog(CatalogId.F32)
     assert f32.n(2) == 23

@@ -489,6 +489,47 @@ def test_input_error_names_the_field(tmp_path, text, argv, needle, leak):
     assert leak not in line
 
 
+def _two_vertex_doc(edge):
+    return {"orientable": True, "edges": [edge], "vertices": [
+        {"id": "a", "value": "0", "kind": "MIN"},
+        {"id": "b", "value": "1", "kind": "MAX"}]}
+
+
+# a string or an object of two unpacks like a pair, and used to be read as
+# the edge from its two characters or its two keys
+@pytest.mark.parametrize("edge", ["ab", {"a": 1, "b": 2}], ids=["str", "obj"])
+def test_edge_must_be_a_list_of_two(tmp_path, edge):
+    line = cli_input_error(tmp_path, _two_vertex_doc(edge), "invariants",
+                           "--category", "oriented")
+    assert "edge 0 must be a pair of vertex ids, a list of two" in line
+
+
+# each used to leak "'int' object is not iterable" or "argument of type
+# 'int' is not iterable"
+@pytest.mark.parametrize("doc, argv, needle", [
+    (_rp2_doc_with(lambda d: d.update(vertices=7)),
+     ["invariants", "--category", "unoriented"],
+     "vertices must be a list, not int"),
+    (_rp2_doc_with(lambda d: d.update(edges={"0": 1})),
+     ["invariants", "--category", "unoriented"],
+     "edges must be a list, not dict"),
+    ({**_diagram_with(), "cells": 3}, ["cusp"], "cells must be a list, not int"),
+    ({**_diagram_with(), "cells": [{"arc": {"circles": 0}}, 5]}, ["cusp"],
+     "cell 1 must be an object, not int"),
+    ({**_diagram_with(), "cells": ["arc"]}, ["cusp"],
+     "cell 0 must be an object, not str"),
+    ({**_diagram_with(), "cells": [{"arc": 0}]}, ["cusp"],
+     "cell 0 arc must be an object, not int"),
+    ({**_diagram_with(), "cells": [{"arc": {"circles": 0}}, {"event": [1]}]},
+     ["cusp"], "cell 1 event must be an object, not list"),
+], ids=["vertices", "edges", "cells", "int-cell", "str-cell", "int-arc",
+        "list-event"])
+def test_non_container_names_the_field(tmp_path, doc, argv, needle):
+    line = cli_input_error(tmp_path, doc, *argv)
+    assert needle in line
+    assert "iterable" not in line and "subscriptable" not in line
+
+
 @pytest.mark.parametrize("argv", [["invariants", "--category", "unoriented"],
                                   ["cusp"]])
 def test_deeply_nested_json_exits_1_without_traceback(tmp_path, argv):

@@ -192,6 +192,42 @@ def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
     assert not calls
 
 
+def test_express_class_runs_no_dense_product_and_no_reduction(monkeypatch):
+    from foldcob.catalog import CatalogId, catalog
+    v32 = catalog(CatalogId.V32)
+    cases = [(cx, deg) for cx in (v32, hom_dual(v32, RingTag.TWO_TORSION))
+             for deg in range(3)]
+    for cx, deg in cases:
+        homology(cx, deg)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("express_class must not call this")
+
+    monkeypatch.setattr(IntMatrix, "apply", forbidden)
+    monkeypatch.setattr(IntMatrix, "mul", forbidden)
+    monkeypatch.setattr("foldcob.complexes._smith", forbidden)
+    for cx, deg in cases:
+        pres = homology(cx, deg)
+        for j, cyc in enumerate(pres.basis_cycles):
+            assert express_class(cx, deg, cyc) == tuple(
+                int(i == j) for i in range(pres.rank))
+
+
+def test_presentation_holds_one_coordinate_row_per_summand():
+    from foldcob.catalog import CatalogId, catalog
+    for cid in CatalogId:
+        cx = catalog(cid)
+        for deg in range(cx.top_degree + 1):
+            pres = homology(cx, deg)
+            assert len(pres._coord_rows) == pres.rank
+            moduli = tuple(d for d, _ in pres._coord_rows)
+            assert moduli == (0,) * pres.free_rank + pres.torsion
+            for d, row in pres._coord_rows:
+                assert list(row) == sorted(row)
+                assert len({j for j, _ in row}) == len(row)
+                assert all(x and (not d or 0 < x < d) for _, x in row)
+
+
 def _point(name):
     return make_complex(Direction.HOMOLOGICAL, [[(name, RingTag.FREE)]], [])
 
