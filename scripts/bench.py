@@ -18,7 +18,9 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
 - the wall time of one ``python -m foldcob.cli`` subprocess, spawn to
   exit, per subcommand: the catalog commands, ``selftest``, and
   ``invariants``, ``reduce``, ``cobordant`` and ``cusp`` on the
-  ``gen.reeb_case`` graphs and diagrams of CLI_GRAPH_SIZES vertices.
+  ``gen.reeb_case`` graphs and diagrams of CLI_GRAPH_SIZES vertices;
+  and, as the floors under them, of ``python -c pass`` and of
+  ``python -c "import foldcob.cli"``.
 
 Each timing is the median (and the least) of REPEAT runs.  The results
 go under ``--label`` into the JSON file ``--out`` (``BENCH_5.json`` at the
@@ -175,20 +177,26 @@ def bench_surface(gen, rng):
 
 def bench_cli(gen, rng, src):
     """Median and least wall seconds of each CLI command, one subprocess at
-    a time, labelled by its argv with file paths left out; a command that
-    does not exit 0 stops the run."""
+    a time, labelled by its argv with file paths left out, after the
+    interpreter floor and the import of the cli module; a command that does
+    not exit 0 stops the run."""
     env = {**os.environ, "PYTHONPATH": str(src)}
 
-    def timed(argv, label):
+    def timed(args, label):
         def once():
-            proc = subprocess.run([sys.executable, "-m", "foldcob.cli", *argv],
+            proc = subprocess.run([sys.executable, *args],
                                   capture_output=True, env=env)
             if proc.returncode:
-                sys.exit(f"error: foldcob {label} exited {proc.returncode}")
+                sys.exit(f"error: {label} exited {proc.returncode}")
         secs = _timed(once)
         return {"command": label, "wall_s": secs[0], "wall_min_s": secs[1]}
 
-    out = [timed(argv, " ".join(argv)) for argv in CLI_COMMANDS]
+    def command(argv, label):
+        return timed(["-m", "foldcob.cli", *argv], label)
+
+    out = [timed(["-c", "pass"], "python -c pass"),
+           timed(["-c", "import foldcob.cli"], "import foldcob.cli")]
+    out += [command(argv, " ".join(argv)) for argv in CLI_COMMANDS]
     with tempfile.TemporaryDirectory() as tmp:
         for n in CLI_GRAPH_SIZES:
             case = gen.reeb_case(rng, n, False)
@@ -201,7 +209,8 @@ def bench_cli(gen, rng, src):
                          ["cobordant", "--a", str(graph), "--b", str(graph),
                           *cat],
                          ["cusp", "--in", str(diagram)]):
-                out.append(timed(argv, f"{argv[0]} <{case.vertices} vertices>"))
+                out.append(command(argv,
+                                   f"{argv[0]} <{case.vertices} vertices>"))
     return out
 
 

@@ -16,29 +16,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 
+from .choices import CatalogId
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
                         RingTag, _dual_matrix, _is_isomorphism, hom_dual,
                         homology, induced_is_isomorphism, induced_map,
                         is_surjective_on_degree, make_complex,
                         validate_chain_map, validate_complex)
 from .intmat import IntMatrix
-
-
-class CatalogId(Enum):
-    CO32 = "CO32"
-    CO32_ORI = "CO32_ORI"
-    SCO32 = "SCO32"
-    SCO32_ORI = "SCO32_ORI"
-    CO21 = "CO21"
-    C32_Z2 = "C32_Z2"
-    C32_Z2_SIMPLE = "C32_Z2_SIMPLE"
-    C21_Z2 = "C21_Z2"
-    V32 = "V32"
-    F32 = "F32"
-    CUSP32 = "CUSP32"
-    BCUSP32 = "BCUSP32"
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,21 @@ import argparse
 import json
 import sys
 
-from . import selftest
-from .catalog import (CatalogId, catalog, counting_identities,
-                      cusp_cocycle_check, hypercohomology, suspension_map)
-from .complexes import RingTag, homology, induced_map
-from .diagrams import (cusp_count_boundary, cusp_count_closed,
-                       diagram_from_json, BoundaryMode)
-from .intmat import IntMatrix
-from .reeb import (Category, InvariantVector, graph_from_json, graph_to_json,
-                   invariants, reduce_to_normal_form, cobordant)
+import foldcob
+from .choices import CatalogId, Category
+
+# The commands read every layer name as an attribute of this module
+# (``_cli.homology``).  A public foldcob name is imported from its layer
+# on first read, so a command loads only the layers it calls, and a
+# wrapper put in place with ``setattr(cli, name, ...)`` is the one called.
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in foldcob.__all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(foldcob, name)
+    return value
 
 
 def _emit(doc) -> int:
@@ -27,7 +33,7 @@ def _emit(doc) -> int:
     return 0
 
 
-def _matrix_rows(m: IntMatrix):
+def _matrix_rows(m):
     return [list(row) for row in m.entries]
 
 
@@ -52,7 +58,7 @@ def _load_json(path):
 def _cmd_catalog(args) -> int:
     if args.catalog_cmd == "list":
         return _emit({"catalogs": [c.value for c in CatalogId]})
-    cx = catalog(CatalogId(args.id))
+    cx = _cli.catalog(CatalogId(args.id))
     gens = []
     for degree in cx.generators:
         row = []
@@ -75,69 +81,73 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    pres = homology(catalog(CatalogId(args.id)), args.deg)
+    pres = _cli.homology(_cli.catalog(CatalogId(args.id)), args.deg)
     return _emit({"free_rank": pres.free_rank, "torsion": list(pres.torsion)})
 
 
 def _cmd_suspension(args) -> int:
-    maps = suspension_map(args.variant)
-    m = induced_map(maps.pullback, 1)
+    maps = _cli.suspension_map(args.variant)
+    m = _cli.induced_map(maps.pullback, 1)
     return _emit({"variant": args.variant, "h1_matrix": _matrix_rows(m)})
 
 
 def _cmd_hyper(args) -> int:
-    h = hypercohomology(catalog(CatalogId.V32), RingTag(args.coeff), args.deg)
+    h = _cli.hypercohomology(_cli.catalog(CatalogId.V32),
+                             _cli.RingTag(args.coeff), args.deg)
     return _emit({"free_rank": h.group.free_rank,
                   "torsion": list(h.group.torsion),
                   "comparison_iso": h.comparison_is_isomorphism})
 
 
-def _zw(inv: InvariantVector) -> dict:
+def _zw(inv) -> dict:
     """z, and w outside the oriented categories, where it is always 0."""
     return {"z": inv.z} if inv.category.oriented else {"z": inv.z, "w": inv.w}
 
 
 def _cmd_invariants(args) -> int:
-    g = graph_from_json(_load_json(args.infile))
-    return _emit(_zw(invariants(g, Category(args.category))))
+    g = _cli.graph_from_json(_load_json(args.infile))
+    return _emit(_zw(_cli.invariants(g, Category(args.category))))
 
 
 def _cmd_reduce(args) -> int:
-    g = graph_from_json(_load_json(args.infile))
-    res = reduce_to_normal_form(g, Category(args.category))
+    g = _cli.graph_from_json(_load_json(args.infile))
+    res = _cli.reduce_to_normal_form(g, Category(args.category))
     doc = _zw(res.invariants)
     doc["trace"] = [{"move": m, "count": n} for m, n in res.trace]
-    doc["canonical"] = graph_to_json(res.canonical)
+    doc["canonical"] = _cli.graph_to_json(res.canonical)
     return _emit(doc)
 
 
 def _cmd_cobordant(args) -> int:
-    g1 = graph_from_json(_load_json(args.a))
-    g2 = graph_from_json(_load_json(args.b))
-    return _emit({"cobordant": cobordant(g1, g2, Category(args.category))})
+    g1 = _cli.graph_from_json(_load_json(args.a))
+    g2 = _cli.graph_from_json(_load_json(args.b))
+    same = _cli.cobordant(g1, g2, Category(args.category))
+    return _emit({"cobordant": same})
 
 
 def _cmd_cusp(args) -> int:
-    d = diagram_from_json(_load_json(args.infile))
-    if d.mode is BoundaryMode.CLOSED:
-        res = cusp_count_closed(d)
+    d = _cli.diagram_from_json(_load_json(args.infile))
+    if d.mode is _cli.BoundaryMode.CLOSED:
+        res = _cli.cusp_count_closed(d)
     else:
-        res = cusp_count_boundary(d)
+        res = _cli.cusp_count_boundary(d)
     return _emit({"cusps": res.count, "cross_check": res.cross_check})
 
 
 def _cmd_identities(args) -> int:
-    idents = counting_identities(CatalogId(args.id))
+    idents = _cli.counting_identities(CatalogId(args.id))
     doc = [{"f": [[lbl, c] for lbl, c in ident.f_terms],
             "F": [[lbl, c] for lbl, c in ident.F_terms]}
            for ident in idents]
     out = {"id": args.id, "identities": doc}
     if args.id == "BCUSP32":
-        out["cocycle_check"] = cusp_cocycle_check().ok
+        out["cocycle_check"] = _cli.cusp_cocycle_check().ok
     return _emit(out)
 
 
 def _cmd_selftest(_args) -> int:
+    from . import selftest
+
     results = selftest.run_all()
     ok = True
     for r in results:

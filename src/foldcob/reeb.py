@@ -16,6 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
+from .choices import Category
+
 
 class VertexKind(Enum):
     MIN = "MIN"
@@ -34,17 +36,6 @@ class VertexKind(Enum):
 _MIN, _MAX, _SADDLE, _DEG2 = VertexKind
 # kinds by their JSON value, read without a call of the Enum class
 _KIND = {k.value: k for k in VertexKind}
-
-
-class Category(Enum):
-    ORIENTED = "oriented"
-    UNORIENTED = "unoriented"
-    SIMPLE_ORIENTED = "simple_oriented"
-    SIMPLE_UNORIENTED = "simple_unoriented"
-
-    @property
-    def oriented(self) -> bool:
-        return self in (Category.ORIENTED, Category.SIMPLE_ORIENTED)
 
 
 class ReebError(ValueError):

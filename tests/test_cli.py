@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import foldcob
+from foldcob import cli
 from foldcob.cli import main
 from foldcob.diagrams import diagram_to_json, from_reeb
 from foldcob.reeb import (graph_to_json, projective_plane_graph, sphere_graph,
@@ -386,15 +389,19 @@ def cli_input_error(tmp_path, doc, *argv):
     return cli_file_error(path, *argv)
 
 
+def _env():
+    """The environment of a fresh interpreter that imports this foldcob."""
+    src = str(Path(foldcob.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def cli_file_error(path, *argv):
     """cli_input_error on a file as it stands."""
-    src = str(Path(foldcob.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "foldcob.cli", argv[0], "--in", str(path),
          *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_env(), timeout=60)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -546,3 +553,236 @@ def test_homology_degree_out_of_range_exits_1(capsys, deg):
     assert out == ""
     assert err.startswith(f"error: degree {deg} out of range")
     assert err.count("\n") == 1
+
+
+# -- what a subcommand loads ---------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+BASE = {"foldcob", "foldcob.choices", "foldcob.cli"}
+LOADS = {"base": BASE,
+         "algebra": BASE | {"foldcob.intmat", "foldcob.complexes",
+                            "foldcob.catalog"},
+         "graph": BASE | {"foldcob.reeb"},
+         "cusp": BASE | {"foldcob.reeb", "foldcob.diagrams"}}
+
+
+def _fresh(code, *args):
+    """Run code in a fresh interpreter, at this one's optimization level;
+    returns the last line of its stdout, read as JSON."""
+    proc = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", code, *args],
+        capture_output=True, text=True, env=_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+LOADED = """
+import json, sys
+from foldcob import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("foldcob"))))
+sys.exit(code)
+"""
+
+
+def _command_files(tmp_path):
+    """A graph file and a closed and a bounded diagram file."""
+    files = {"graph": tmp_path / "graph.json",
+             "closed": tmp_path / "closed.json",
+             "bounded": tmp_path / "bounded.json"}
+    files["graph"].write_text(json.dumps(graph_to_json(torus_graph())))
+    diagram = diagram_to_json(from_reeb(sphere_graph()))
+    files["closed"].write_text(json.dumps(diagram))
+    files["bounded"].write_text(json.dumps({**diagram,
+                                            "mode": "WITH_BOUNDARY"}))
+    return {k: str(v) for k, v in files.items()}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["catalog", "list"], "base"),
+    (["catalog", "export", "--id", "CO32"], "algebra"),
+    (["homology", "--id", "V32", "--deg", "1"], "algebra"),
+    (["hyper", "--id", "V32", "--coeff", "Z2", "--deg", "1"], "algebra"),
+    (["suspension", "--variant", "full_Z2"], "algebra"),
+    (["identities", "--id", "BCUSP32"], "algebra"),
+    (["invariants", "--in", "{graph}", "--category", "unoriented"], "graph"),
+    (["reduce", "--in", "{graph}", "--category", "oriented"], "graph"),
+    (["cobordant", "--a", "{graph}", "--b", "{graph}", "--category",
+      "oriented"], "graph"),
+    (["cusp", "--in", "{closed}"], "cusp"),
+], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else v)
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    files = _command_files(tmp_path)
+    got = _fresh(LOADED, *[a.format(**files) for a in argv])
+    assert set(got) == LOADS[layers]
+
+
+def test_bare_import_loads_no_submodule():
+    got = _fresh("""
+import importlib, json, sys
+import foldcob
+bare = sorted(m for m in sys.modules if m.startswith("foldcob"))
+# importing the submodule catalog leaves foldcob.catalog the function
+module = importlib.import_module("foldcob.catalog")
+# a layer submodule is an attribute of the package, imported on first read
+layer = foldcob.reeb is sys.modules["foldcob.reeb"]
+print(json.dumps([bare, foldcob.catalog is module.catalog, layer]))
+""")
+    assert got == [["foldcob"], True, True]
+
+
+# the public names of the package, by the submodule that defines them
+PUBLIC = {
+    "catalog": ("CatalogId", "CountingIdentity", "FiberClass", "catalog",
+                "counting_identities", "cusp_cocycle_check", "fiber_classes",
+                "free_approximation", "hypercohomology", "suspension_map"),
+    "complexes": ("AbelianGroupPresentation", "ChainMap", "ComplexError",
+                  "Direction", "Generator", "MixedComplex", "NotACycleError",
+                  "RingTag", "express_class", "hom_dual", "homology",
+                  "induced_is_isomorphism", "induced_map", "make_complex",
+                  "validate_chain_map", "validate_complex", "zero_complex"),
+    "diagrams": ("BoundaryMode", "CircleFiberDiagram", "CuspCount",
+                 "DiagramError", "DiagramEvent", "RegularArc",
+                 "algebraic_counts", "cusp_count_boundary",
+                 "cusp_count_closed", "diagram_from_json", "diagram_to_json",
+                 "disjoint_union_diagrams", "from_reeb", "reverse",
+                 "validate_diagram"),
+    "intmat": ("IntMatrix", "snf_with_inverses"),
+    "reeb": ("Category", "CategoryError", "FiberProfile", "InvariantVector",
+             "PieceMultiset", "ReebError", "ReebGraph", "Vertex",
+             "VertexKind", "canonical_graph", "cobordant", "decompose",
+             "disjoint_union", "euler_characteristic", "fiber_profile",
+             "graph_from_json", "graph_to_json", "invariants",
+             "klein_bottle_graph", "make_graph", "negate",
+             "projective_plane_graph", "random_reeb",
+             "reduce_to_normal_form", "sphere_graph", "torus_graph",
+             "validate_reeb"),
+}
+
+
+def test_public_api():
+    names = [n for group in PUBLIC.values() for n in group]
+    assert sorted(foldcob.__all__) == sorted(names)
+    for module, group in PUBLIC.items():
+        mod = importlib.import_module(f"foldcob.{module}")
+        for name in group:
+            assert getattr(foldcob, name) is getattr(mod, name), name
+    assert set(names) <= set(dir(foldcob))
+    star = {}
+    exec("from foldcob import *", star)
+    star.pop("__builtins__")
+    assert star == {n: getattr(foldcob, n) for n in names}
+    # the layer submodules stay attributes of the package
+    for module in ("complexes", "diagrams", "intmat", "reeb"):
+        assert getattr(foldcob, module) is sys.modules[f"foldcob.{module}"]
+
+
+def test_unknown_public_name():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        foldcob.no_such_name
+    with pytest.raises(ImportError):
+        exec("from foldcob import no_such_name", {})
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+    with pytest.raises(AttributeError):
+        cli.reeb
+
+
+# -- the span driver's contract ------------------------------------------
+
+def _driver_layer_calls():
+    """The cli globals that perfbench/cli_driver.py wraps in spans."""
+    tree = ast.parse((ROOT / "perfbench" / "cli_driver.py").read_text(
+        encoding="utf-8"))
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Name) and target.id == "LAYER_CALLS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("cli_driver.py has no LAYER_CALLS")
+
+
+def test_driver_names_resolve_on_cli():
+    names = _driver_layer_calls()
+    assert len(names) == 11
+    for name in names:
+        assert getattr(cli, name) is getattr(foldcob, name), name
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("catalog", ["catalog", "export", "--id", "V32"]),
+    ("homology", ["homology", "--id", "V32", "--deg", "1"]),
+    ("hypercohomology", ["hyper", "--id", "V32", "--coeff", "Z", "--deg",
+                         "1"]),
+    ("suspension_map", ["suspension", "--variant", "co_Z"]),
+    ("graph_from_json", ["cobordant", "--a", "{graph}", "--b", "{graph}",
+                         "--category", "oriented"]),
+    ("invariants", ["invariants", "--in", "{graph}", "--category",
+                    "oriented"]),
+    ("reduce_to_normal_form", ["reduce", "--in", "{graph}", "--category",
+                               "oriented"]),
+    ("cobordant", ["cobordant", "--a", "{graph}", "--b", "{graph}",
+                   "--category", "oriented"]),
+    ("diagram_from_json", ["cusp", "--in", "{closed}"]),
+    ("cusp_count_closed", ["cusp", "--in", "{closed}"]),
+    ("cusp_count_boundary", ["cusp", "--in", "{bounded}"]),
+])
+def test_command_calls_the_wrapper_set_on_cli(monkeypatch, capsys, tmp_path,
+                                              name, argv):
+    files = _command_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    _, want, _ = run(capsys, *argv)
+    real, calls = getattr(cli, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == want
+    assert calls
+
+
+# -- usage ---------------------------------------------------------------
+
+IDS = ("{CO32,CO32_ORI,SCO32,SCO32_ORI,CO21,C32_Z2,C32_Z2_SIMPLE,C21_Z2,V32,"
+       "F32,CUSP32,BCUSP32}")
+CATEGORIES = "{oriented,unoriented,simple_oriented,simple_unoriented}"
+
+
+@pytest.mark.parametrize("argv, choices", [
+    ([], None), (["catalog"], None), (["catalog", "list"], None),
+    (["catalog", "export"], IDS), (["homology"], IDS),
+    (["suspension"], "{co_Z,full_Z2}"), (["hyper"], "{V32}"),
+    (["invariants"], CATEGORIES), (["reduce"], CATEGORIES),
+    (["cobordant"], CATEGORIES), (["cusp"], None),
+    (["identities"], "{CO32,CUSP32,BCUSP32}"), (["selftest"], None),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+def test_help_exits_0_and_lists_the_choices(capsys, argv, choices):
+    code, out, _ = run(capsys, *argv, "--help")
+    assert code == 0
+    assert out.startswith("usage: foldcob")
+    if choices:
+        assert choices in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "export", "--id", "v32"],
+    ["homology", "--id", "NOPE", "--deg", "1"],
+    ["identities", "--id", "V32"],
+    ["invariants", "--in", "g.json", "--category", "oriented_simple"],
+])
+def test_bad_choice_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
+def test_golden_stdout(capsys):
+    """The fixed command mix of the cli benchmark workload, byte for byte."""
+    golden = json.loads((ROOT / "perfbench" / "golden_cli.json").read_text(
+        encoding="utf-8"))
+    assert len(golden) > 50
+    for argv, want in golden:
+        assert run(capsys, *argv)[:2] == (0, want), argv
