@@ -22,13 +22,18 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   and, as the floors under them, of ``python -c pass`` and of
   ``python -c "import foldcob.cli"``.
 
-Each timing is the median (and the least) of REPEAT runs.  The results
-go under ``--label`` into the JSON file ``--out`` (``BENCH_5.json`` at the
-repository root by default), next to any other labels already there, so
-two checkouts can be compared in one file:
+A run is REPEAT rounds.  In each round every checkout given with
+``--src`` times each step once, in a subprocess of its own (``--once``);
+the checkouts take turns, and their order flips from round to round, so
+that a drift of the machine during the run falls on all of them alike.
+Each timing is the median (and the least) of its REPEAT samples.  The
+results go under the ``--label`` of their checkout into the JSON file
+``--out`` (``BENCH_5.json`` at the repository root by default), next to
+any other labels already there.  To compare a parent checkout with this
+one:
 
-    python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent --out BENCH_7.json
-    python3 scripts/bench.py --label change --out BENCH_7.json
+    python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
+        --src src --label change --out BENCH_14.json
 """
 
 from __future__ import annotations
@@ -62,9 +67,8 @@ CLI_COMMANDS = (["catalog", "list"], ["catalog", "export", "--id", "V32"],
 
 
 def _timed(fn):
-    """(median, least) wall seconds of one call of fn."""
-    runs = timeit.Timer(fn).repeat(repeat=REPEAT, number=1)
-    return statistics.median(runs), min(runs)
+    """Wall seconds of one call of fn, after one call to warm up."""
+    return timeit.Timer(fn).repeat(repeat=2, number=1)[-1]
 
 
 def _bits(*matrices):
@@ -84,8 +88,7 @@ def bench_matrices(gen, rng):
             snf_s = _timed(lambda: snf_with_inverses(m))
             u, _, v, uinv, vinv = snf_with_inverses(m)
             out.append({"family": family, "rows": m.rows, "cols": m.cols,
-                        "mul_s": mul_s[0], "mul_min_s": mul_s[1],
-                        "snf_s": snf_s[0], "snf_min_s": snf_s[1],
+                        "mul_s": mul_s, "snf_s": snf_s,
                         "max_bits": _bits(u, v, uinv, vinv)})
     return out
 
@@ -108,9 +111,8 @@ def bench_homology(gen, rng):
         cx = _complex(case)
         dual = hom_dual(cx, RingTag.TWO_TORSION)
         row = {"kind": kind, "cells": list(case.cells)}
-        for name, c in (("", cx), ("_z2dual", dual)):
-            t = _timed(lambda: [compute(c, deg) for deg in range(3)])
-            row["homology_s" + name], row["homology_min_s" + name] = t
+        for name, c in (("homology_s", cx), ("homology_z2dual_s", dual)):
+            row[name] = _timed(lambda: [compute(c, deg) for deg in range(3)])
         out.append(row)
     return out
 
@@ -136,8 +138,7 @@ def bench_express(gen, rng):
             sys.exit("error: express_class gave a wrong class")
     per_query = _timed(lambda: [express_class(cx, 1, v) for v, _ in queries])
     return {"cells": cx.n(0) + cx.n(1) + cx.n(2), "queries": QUERIES,
-            "per_query_s": per_query[0] / QUERIES,
-            "per_query_min_s": per_query[1] / QUERIES}
+            "per_query_s": per_query / QUERIES}
 
 
 def bench_surface(gen, rng):
@@ -145,51 +146,45 @@ def bench_surface(gen, rng):
     from foldcob.reeb import (Category, graph_from_json, invariants,
                               reduce_to_normal_form)
 
-    def timed(runs, name, fn, *args):
+    def timed(row, name, fn, *args):
         t = time.perf_counter()
         out = fn(*args)
-        runs.setdefault(name, []).append(time.perf_counter() - t)
+        row[name + "_s"] = time.perf_counter() - t
         return out
 
     out = []
     category = Category.UNORIENTED
     for n in GRAPH_SIZES:
         case = gen.reeb_case(rng, n, False)
-        runs = {}
-        for _ in range(REPEAT):
-            g = timed(runs, "graph_from_json", graph_from_json, case.doc)
-            inv = timed(runs, "invariants", invariants, g, category)
-            red = timed(runs, "reduce_to_normal_form", reduce_to_normal_form,
-                        g, category)
-            timed(runs, "from_reeb", from_reeb, graph_from_json(case.doc))
-            d = timed(runs, "diagram_from_json", diagram_from_json,
-                      case.diagram)
-            if ((inv.z, inv.w) != (case.z, case.w) or red.invariants != inv
-                    or len(d.cells) != len(case.diagram["cells"])):
-                sys.exit("error: the surface layer gave a wrong answer")
         row = {"vertices": case.vertices, "edges": case.edges}
-        for name, secs in runs.items():
-            row[name + "_s"] = statistics.median(secs)
-            row[name + "_min_s"] = min(secs)
+        g = timed(row, "graph_from_json", graph_from_json, case.doc)
+        inv = timed(row, "invariants", invariants, g, category)
+        red = timed(row, "reduce_to_normal_form", reduce_to_normal_form, g,
+                    category)
+        timed(row, "from_reeb", from_reeb, graph_from_json(case.doc))
+        d = timed(row, "diagram_from_json", diagram_from_json, case.diagram)
+        if ((inv.z, inv.w) != (case.z, case.w) or red.invariants != inv
+                or len(d.cells) != len(case.diagram["cells"])):
+            sys.exit("error: the surface layer gave a wrong answer")
         out.append(row)
     return out
 
 
 def bench_cli(gen, rng, src):
-    """Median and least wall seconds of each CLI command, one subprocess at
-    a time, labelled by its argv with file paths left out, after the
-    interpreter floor and the import of the cli module; a command that does
-    not exit 0 stops the run."""
+    """Wall seconds of each CLI command, one subprocess at a time, labelled
+    by its argv with file paths left out, after the interpreter floor and
+    the import of the cli module; a command that does not exit 0 stops the
+    run."""
     env = {**os.environ, "PYTHONPATH": str(src)}
 
     def timed(args, label):
-        def once():
-            proc = subprocess.run([sys.executable, *args],
-                                  capture_output=True, env=env)
-            if proc.returncode:
-                sys.exit(f"error: {label} exited {proc.returncode}")
-        secs = _timed(once)
-        return {"command": label, "wall_s": secs[0], "wall_min_s": secs[1]}
+        t = time.perf_counter()
+        proc = subprocess.run([sys.executable, *args], capture_output=True,
+                              env=env)
+        wall_s = time.perf_counter() - t
+        if proc.returncode:
+            sys.exit(f"error: {label} exited {proc.returncode}")
+        return {"command": label, "wall_s": wall_s}
 
     def command(argv, label):
         return timed(["-m", "foldcob.cli", *argv], label)
@@ -214,29 +209,81 @@ def bench_cli(gen, rng, src):
     return out
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=REPO / "src",
-                    help="directory holding the foldcob package to time")
-    ap.add_argument("--label", default="change")
-    ap.add_argument("--out", type=Path, default=REPO / "BENCH_5.json",
-                    help="JSON file that collects the runs by label")
-    args = ap.parse_args(argv)
-    sys.path[:0] = [str(args.src.resolve()), str(REPO / "perfbench")]
+def sample(src):
+    """Every timing once, with the foldcob package in src."""
+    sys.path[:0] = [str(src), str(REPO / "perfbench")]
     import gen
 
     rng = random.Random(SEED)
-    run = {"python": platform.python_version(), "nproc": os.cpu_count(),
-           "seed": SEED, "repeat": REPEAT,
-           "matrices": bench_matrices(gen, rng),
-           "homology": bench_homology(gen, rng),
-           "express": bench_express(gen, rng),
-           "surface": bench_surface(gen, random.Random(SEED)),
-           "cli": bench_cli(gen, random.Random(SEED), args.src.resolve())}
+    return {"matrices": bench_matrices(gen, rng),
+            "homology": bench_homology(gen, rng),
+            "express": bench_express(gen, rng),
+            "surface": bench_surface(gen, random.Random(SEED)),
+            "cli": bench_cli(gen, random.Random(SEED), src)}
+
+
+def _merge(samples):
+    """One result from samples of the same shape: each timing ``X_s``
+    becomes the median ``X_s`` and the least ``X_min_s``; anything else is
+    the same in every sample and is kept as it is."""
+    first = samples[0]
+    if isinstance(first, list):
+        return [_merge(list(items)) for items in zip(*samples)]
+    if not isinstance(first, dict):
+        return first
+    out = {}
+    for key in first:
+        column = [s[key] for s in samples]
+        if key.endswith("_s"):
+            out[key] = statistics.median(column)
+            out[key[:-2] + "_min_s"] = min(column)
+        else:
+            out[key] = _merge(column)
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, action="append",
+                    help="directory holding a foldcob package to time; give "
+                         "it once per checkout (default: src of this "
+                         "repository)")
+    ap.add_argument("--label", action="append",
+                    help="the label of each --src, in the same order "
+                         "(default: change)")
+    ap.add_argument("--out", type=Path, default=REPO / "BENCH_5.json",
+                    help="JSON file that collects the runs by label")
+    ap.add_argument("--once", action="store_true",
+                    help="time each step once with the one --src and print "
+                         "the sample as JSON")
+    args = ap.parse_args(argv)
+    srcs = [p.resolve() for p in args.src or [REPO / "src"]]
+    labels = args.label or (["change"] if len(srcs) == 1 else [])
+    if len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        ap.error("give each --src a --label of its own")
+    if args.once:
+        if len(srcs) != 1:
+            ap.error("--once times one --src")
+        print(json.dumps(sample(srcs[0])))
+        return
+    sides = list(zip(labels, srcs))
+    samples = {label: [] for label in labels}
+    for r in range(REPEAT):
+        for label, src in sides[::-1] if r % 2 else sides:
+            proc = subprocess.run(
+                [sys.executable, __file__, "--once", "--src", str(src)],
+                capture_output=True, text=True)
+            if proc.returncode:
+                sys.exit(f"error: {label}: {proc.stderr.strip()}")
+            samples[label].append(json.loads(proc.stdout))
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc.setdefault("runs", {})[args.label] = run
+    for label in labels:
+        run = {"python": platform.python_version(), "nproc": os.cpu_count(),
+               "seed": SEED, "repeat": REPEAT, "interleaved": labels,
+               **_merge(samples[label])}
+        doc.setdefault("runs", {})[label] = run
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(json.dumps(run, indent=1))
+    print(json.dumps(doc["runs"], indent=1))
 
 
 if __name__ == "__main__":

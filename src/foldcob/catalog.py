@@ -10,6 +10,13 @@ The n=2 complexes (CO21, C21_Z2 and the source of the suspension chain
 map) are the degree-0 and degree-1 truncations of the n=3 ones.  CO32
 and C32_Z2 stay typed out by hand, although they are the duals of V32:
 they are the independent reference that hom_dual(V32) is checked against.
+
+CO32_ORI, SCO32 and SCO32_ORI are aliases of CO32: ``catalog`` returns
+the CO32 object for them, built and checked once.  CO32 holds only the
+co-orientable classes (``_COOR_CLOSED``).  The simple-stable-map catalogs
+leave out only the class II6 (``_c32_z2(simple=True)``), which is not
+co-orientable, so they leave CO32 as it is; and no table here separates
+the oriented ids from the unoriented ones.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 
 from .choices import CatalogId
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
-                        RingTag, _dual_matrix, _is_isomorphism, hom_dual,
+                        RingTag, _dual_matrix, hom_dual,
                         homology, induced_is_isomorphism, induced_map,
                         is_surjective_on_degree, make_complex,
                         validate_chain_map, validate_complex)
@@ -172,8 +179,7 @@ def _v32():
 
 
 def _f32():
-    d2 = dict(_V32_D2)
-    d2["A"] = {"I2_o": 2}
+    d2 = {**_V32_D2, "A": {"I2_o": 2}}
     degrees = [_gens(_ordered(["0"]), _free),
                _gens(_ordered(["I0", "I1", "I2"]), _free),
                _gens(_ordered(_DEG2_CLOSED) + ["A"], _free)]
@@ -219,11 +225,11 @@ def _bcusp32():
         [delta0, delta1])
 
 
+_ALIASES = dict.fromkeys(
+    (CatalogId.CO32_ORI, CatalogId.SCO32, CatalogId.SCO32_ORI), CatalogId.CO32)
+
 _BUILDERS = {
     CatalogId.CO32: _co32,
-    CatalogId.CO32_ORI: _co32,
-    CatalogId.SCO32: _co32,
-    CatalogId.SCO32_ORI: _co32,
     CatalogId.CO21: lambda: _truncated(catalog(CatalogId.CO32)),
     CatalogId.C32_Z2: _c32_z2,
     CatalogId.C32_Z2_SIMPLE: lambda: _c32_z2(simple=True),
@@ -237,6 +243,8 @@ _BUILDERS = {
 
 @functools.lru_cache(maxsize=None)
 def catalog(catalog_id: CatalogId) -> MixedComplex:
+    if catalog_id in _ALIASES:
+        return catalog(_ALIASES[catalog_id])
     if catalog_id not in _BUILDERS:
         raise KeyError(f"unknown catalog id {catalog_id}")
     cx = _BUILDERS[catalog_id]()
@@ -255,6 +263,17 @@ class SuspensionMaps:
 
 
 @functools.lru_cache(maxsize=None)
+def _identity_map(src, tgt, what):
+    """The checked map that is the identity on the generators of degrees
+    0 and 1; built once per pair of complexes, so that both variants share
+    one chain map V21 -> V32."""
+    f = ChainMap(src, tgt, tuple(IntMatrix.identity(tgt.n(d)) for d in (0, 1)))
+    if validate_chain_map(f):
+        raise ComplexError(f"suspension {what} fails chain condition")
+    return f
+
+
+@functools.lru_cache(maxsize=None)
 def suspension_map(variant: str) -> SuspensionMaps:
     """variant 'co_Z': pullback CO32 -> CO21; 'full_Z2': C32_Z2 -> C21_Z2."""
     ids = {"co_Z": (CatalogId.CO32, CatalogId.CO21),
@@ -262,14 +281,8 @@ def suspension_map(variant: str) -> SuspensionMaps:
     if ids is None:
         raise ValueError(f"unknown suspension variant {variant!r}")
     v32 = catalog(CatalogId.V32)
-    # both maps are the identity on the generators of degrees 0 and 1
-    chain, pullback = (
-        ChainMap(src, tgt, tuple(IntMatrix.identity(tgt.n(d)) for d in (0, 1)))
-        for src, tgt in ((_truncated(v32), v32), tuple(map(catalog, ids))))
-    for f, what in ((chain, "chain map"), (pullback, "pullback")):
-        if validate_chain_map(f):
-            raise ComplexError(f"suspension {what} fails chain condition")
-    return SuspensionMaps(chain, pullback)
+    return SuspensionMaps(_identity_map(_truncated(v32), v32, "chain map"),
+                          _identity_map(*map(catalog, ids), "pullback"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -330,11 +343,9 @@ def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
     if deg not in (0, 1, 2):
         raise ComplexError("degree out of range 0..2")
     dual_lam = _dual_collapse(v, g)
-    dual_v, dual_f = dual_lam.source, dual_lam.target
-    group = homology(dual_f, deg)
-    comparison = induced_map(dual_lam, deg)
-    iso = _is_isomorphism(homology(dual_v, deg), group, lambda: comparison)
-    return Hypercohomology(group, comparison, iso)
+    return Hypercohomology(homology(dual_lam.target, deg),
+                           induced_map(dual_lam, deg),
+                           induced_is_isomorphism(dual_lam, deg))
 
 
 @dataclass(frozen=True)
@@ -398,7 +409,7 @@ def cusp_cocycle_check() -> CocycleReport:
     c2 = cx.chain(1, {"I0_o": -1, "I0_e": 1})
     im1 = d1.apply(c1)
     im2 = d1.apply(c2)
-    cusp_sum = cx.chain(2, {"IIa_o": 1, "IIa_e": 1, "IIg_o": 1, "IIg_e": 1})
+    cusp_sum = cx.chain(2, dict.fromkeys(_ordered(_CUSP_CLASSES), 1))
     total = tuple(a + b for a, b in zip(im1, im2))
     return CocycleReport(im1, im2, im2 == cusp_sum,
                          all(x == 0 for x in total))

@@ -279,6 +279,8 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
             if type(cell) is not dict:
                 raise ValueError(f"cell {k} must be an object, not "
                                  f"{type(cell).__name__}")
+            if ("arc" in cell) == ("event" in cell):
+                raise ValueError(f"cell {k} needs exactly one of arc, event")
             if "arc" in cell:
                 arc = cell["arc"]
                 if type(arc) is not dict:
@@ -291,7 +293,7 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                 if type(n) is not int:
                     n = _json_int(n, "arcs")
                 cells.append(arcs[circles, n])
-            elif "event" in cell:
+            else:
                 event = cell["event"]
                 if type(event) is not dict:
                     raise ValueError(f"cell {k} event must be an object, "
@@ -304,8 +306,6 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                 if type(n) is not int:
                     n = _json_int(n, "components")
                 cells.append(events[cls, n])
-            else:
-                raise ValueError(f"cell {k} is neither arc nor event")
     except KeyError as exc:
         raise DiagramError("malformed diagram document: missing field "
                            f"{exc}") from exc

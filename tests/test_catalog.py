@@ -24,7 +24,7 @@ def test_co32_generators():
 def test_oriented_and_simple_ids_share_the_complex():
     base = catalog(CatalogId.CO32)
     for cid in (CatalogId.CO32_ORI, CatalogId.SCO32, CatalogId.SCO32_ORI):
-        assert catalog(cid) == base
+        assert catalog(cid) is base
 
 
 def test_v32_generator_table():
@@ -118,6 +118,10 @@ def test_fiber_classes_metadata():
     bclasses = {fc.name for fc in fiber_classes(CatalogId.BCUSP32)
                 if fc.cusp_class}
     assert bclasses == {"IIa", "IIg"}
+
+
+def test_suspension_variants_share_the_chain_map():
+    assert suspension_map("co_Z").chain is suspension_map("full_Z2").chain
 
 
 def test_suspension_rejects_unknown_variant():

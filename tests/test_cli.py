@@ -529,8 +529,14 @@ def test_edge_must_be_a_list_of_two(tmp_path, edge):
      "cell 0 arc must be an object, not int"),
     ({**_diagram_with(), "cells": [{"arc": {"circles": 0}}, {"event": [1]}]},
      ["cusp"], "cell 1 event must be an object, not list"),
+    # a cell with both used to be read as its arc, the event dropped
+    ({"mode": "CLOSED", "cells": [{
+        "arc": {"circles": 0}, "event": {"class": "I0", "components": 1}}]},
+     ["cusp"], "cell 0 needs exactly one of arc, event"),
+    ({**_diagram_with(), "cells": [{"arcs": {"circles": 0}}]}, ["cusp"],
+     "cell 0 needs exactly one of arc, event"),
 ], ids=["vertices", "edges", "cells", "int-cell", "str-cell", "int-arc",
-        "list-event"])
+        "list-event", "arc-and-event", "neither"])
 def test_non_container_names_the_field(tmp_path, doc, argv, needle):
     line = cli_input_error(tmp_path, doc, *argv)
     assert needle in line

@@ -1,7 +1,8 @@
-"""Each graph is swept once, each diagram and each chain map checked once,
-however many calls read them, and the cached results cannot be changed
-from outside."""
+"""Each graph is swept once, each diagram, catalog complex and chain map
+checked once, however many calls read them, and the cached results cannot
+be changed from outside."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -12,8 +13,8 @@ import pytest
 
 import foldcob
 from foldcob import complexes, diagrams, reeb
-from foldcob.catalog import (CatalogId, _dual_collapse, catalog,
-                             free_approximation, hypercohomology,
+from foldcob.catalog import (CatalogId, _dual_collapse, _identity_map,
+                             catalog, free_approximation, hypercohomology,
                              suspension_map)
 from foldcob.cli import main
 from foldcob.complexes import (ChainMap, ComplexError, Direction, RingTag,
@@ -69,6 +70,21 @@ def map_checks(monkeypatch):
 
     monkeypatch.setattr(complexes, "_chain_map_violations", counted)
     return checked
+
+
+@pytest.fixture
+def complex_checks(monkeypatch):
+    """The number of catalog complexes checked since the fixture started."""
+    n = [0]
+    module = importlib.import_module("foldcob.catalog")
+    validate = module.validate_complex
+
+    def counted(cx):
+        n[0] += 1
+        return validate(cx)
+
+    monkeypatch.setattr(module, "validate_complex", counted)
+    return n
 
 
 @pytest.mark.parametrize("orientable", [True, False])
@@ -208,6 +224,7 @@ def test_six_hyper_results_check_each_chain_map_once(map_checks):
 @pytest.mark.parametrize("variant", ["co_Z", "full_Z2"])
 def test_suspension_map_checks_each_of_its_maps_once(map_checks, variant):
     suspension_map.cache_clear()
+    _identity_map.cache_clear()
     maps = suspension_map(variant)
     for _ in range(2):
         assert suspension_map(variant) is maps
@@ -216,6 +233,14 @@ def test_suspension_map_checks_each_of_its_maps_once(map_checks, variant):
             induced_map(f, 1)
     assert sorted(map(id, map_checks)) == sorted(
         [id(maps.chain), id(maps.pullback)])
+
+
+def test_co32_and_its_aliases_are_checked_once(complex_checks):
+    catalog.cache_clear()
+    ids = (CatalogId.CO32, CatalogId.CO32_ORI, CatalogId.SCO32,
+           CatalogId.SCO32_ORI)
+    assert len({id(catalog(cid)) for cid in ids}) == 1
+    assert complex_checks[0] == 1
 
 
 def _line(coeff):
