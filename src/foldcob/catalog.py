@@ -22,7 +22,7 @@ the oriented ids from the unoriented ones.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .choices import CatalogId
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
@@ -33,13 +33,12 @@ from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
 from .intmat import IntMatrix
 
 
-@dataclass(frozen=True)
-class FiberClass:
-    name: str
-    parity: str          # "o" | "e"
-    codim: int
-    coorientable: bool
-    cusp_class: bool = False
+class FiberClass(namedtuple("FiberClass",
+                            "name parity codim coorientable cusp_class",
+                            defaults=(False,))):
+    """A fiber class of a catalog; parity is "o" or "e"."""
+
+    __slots__ = ()
 
     @property
     def label(self) -> str:
@@ -254,12 +253,9 @@ def catalog(catalog_id: CatalogId) -> MixedComplex:
     return cx
 
 
-@dataclass(frozen=True)
-class SuspensionMaps:
-    """Name-preserving chain map from the n=2 to the n=3 complex, with
-    the pullback it induces on the co-orientable / Z2 cochain side."""
-    chain: ChainMap
-    pullback: ChainMap
+# the name-preserving chain map from the n=2 to the n=3 complex, with the
+# pullback it induces on the co-orientable / Z2 cochain side
+SuspensionMaps = namedtuple("SuspensionMaps", "chain pullback")
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,11 +311,9 @@ def free_approximation(v: MixedComplex):
     return f, lam
 
 
-@dataclass(frozen=True)
-class Hypercohomology:
-    group: "object"              # AbelianGroupPresentation
-    comparison: IntMatrix
-    comparison_is_isomorphism: bool
+# group is an AbelianGroupPresentation, comparison an IntMatrix
+Hypercohomology = namedtuple("Hypercohomology",
+                             "group comparison comparison_is_isomorphism")
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,16 +342,16 @@ def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
                            induced_is_isomorphism(dual_lam, deg))
 
 
-@dataclass(frozen=True)
-class CountingIdentity:
+class CountingIdentity(namedtuple("CountingIdentity", "f_terms F_terms")):
     """Sum of f-side and F-side signed fiber counts that equals zero.
 
     Reads as sum(c * count(X, f)) + sum(c * count(Y, F)) = 0 where the
     f terms range over codimension-1 classes of a generic function and
-    the F terms over codimension-2 classes of a generic homotopy.
+    the F terms over codimension-2 classes of a generic homotopy; each
+    term is a (label, coefficient) pair.
     """
-    f_terms: tuple[tuple[str, int], ...]
-    F_terms: tuple[tuple[str, int], ...]
+
+    __slots__ = ()
 
 
 def counting_identities(catalog_id: CatalogId) -> tuple[CountingIdentity, ...]:
@@ -367,6 +361,7 @@ def counting_identities(catalog_id: CatalogId) -> tuple[CountingIdentity, ...]:
     boundary function equals minus the signed incidence sum over
     codimension-2 classes of the homotopy.
     """
+    catalog_id = _ALIASES.get(catalog_id, catalog_id)
     if catalog_id not in (CatalogId.CO32, CatalogId.CUSP32, CatalogId.BCUSP32):
         raise ComplexError(
             f"catalog {catalog_id.value} carries no counting identities")
@@ -384,12 +379,9 @@ def counting_identities(catalog_id: CatalogId) -> tuple[CountingIdentity, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    image_c1: tuple[int, ...]
-    image_c2: tuple[int, ...]
-    c2_hits_cusp_classes: bool
-    c1_plus_c2_closed: bool
+class CocycleReport(namedtuple("CocycleReport", "image_c1 image_c2 "
+                               "c2_hits_cusp_classes c1_plus_c2_closed")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

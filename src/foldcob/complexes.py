@@ -10,7 +10,7 @@ matrices.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .intmat import (IntMatrix, _axpy, _dense, _smith, cokernel_is_trivial,
@@ -27,10 +27,7 @@ class Direction(Enum):
     COHOMOLOGICAL = "cohomological"
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    ring: RingTag
+Generator = namedtuple("Generator", "name ring")
 
 
 class ComplexError(ValueError):
@@ -41,8 +38,8 @@ class NotACycleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MixedComplex:
+class MixedComplex(namedtuple("MixedComplex",
+                              "direction generators differentials")):
     """Finite complex in degrees 0..K.
 
     differentials[i] maps the generators of one degree to those of the
@@ -50,22 +47,19 @@ class MixedComplex:
     generator r in the image of source generator c.
     """
 
-    direction: Direction
-    generators: tuple[tuple[Generator, ...], ...]
-    differentials: tuple[IntMatrix, ...]
+    # no __slots__: the instance dict holds the cached hash and slots
 
     def __hash__(self):
         return self._hash
 
     def __reduce__(self):
         # str hashes are salted per process: pickle the fields, not the hash
-        return MixedComplex, (self.direction, self.generators,
-                              self.differentials)
+        return MixedComplex, tuple(self)
 
     @functools.cached_property
     def _hash(self) -> int:
-        # by value, as a frozen dataclass hashes, but computed once
-        return hash((self.direction, self.generators, self.differentials))
+        # by value, as a tuple hashes, but computed once
+        return tuple.__hash__(self)
 
     def ends(self, i: int) -> tuple[int, int]:
         """(source degree, target degree) of differentials[i]: i+1 -> i
@@ -160,11 +154,8 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
     return MixedComplex(direction, gens, tuple(mats))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    degree: int
-    detail: str
+class Violation(namedtuple("Violation", "kind degree detail")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.kind} at degree {self.degree}: {self.detail}"
@@ -221,22 +212,22 @@ def validate_complex(cx: MixedComplex) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(namedtuple(
+        "AbelianGroupPresentation",
+        "free_rank torsion basis_cycles coord_rows")):
     """Z^free_rank + Z/t1 + Z/t2 + ..., with one basis cycle per summand
     and the coordinate rows ``express_class`` reads: rank sparse rows,
     fixed when the group is computed, so that a class costs one lift and
     one dot product per coordinate.  Hashable, with a deterministic repr.
+
+    ``coord_rows`` holds one (modulus, row) per coordinate, free ones
+    (modulus 0) first: a coordinate of a cycle is the dot product of its
+    lift (see _lift) with the row, a sorted tuple of (column, nonzero
+    coefficient), taken mod the modulus; torsion rows are already reduced
+    mod theirs.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    basis_cycles: tuple[tuple[int, ...], ...]
-    # one (modulus, row) per coordinate, free ones (modulus 0) first: a
-    # coordinate of a cycle is the dot product of its lift (see _lift) with
-    # the row, a sorted tuple of (column, nonzero coefficient), taken mod
-    # the modulus; torsion rows are already reduced mod theirs
-    _coord_rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -345,7 +336,7 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
         basis_cycles=_dense(cycles, n),
-        _coord_rows=tuple(rows))
+        coord_rows=tuple(rows))
 
 
 def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
@@ -368,23 +359,20 @@ def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
         raise NotACycleError("vector is not a cycle at this degree")
     get = lifted.get
     out = []
-    for d, row in pres._coord_rows:
+    for d, row in pres.coord_rows:
         x = sum(c * get(j, 0) for j, c in row)
         out.append(x % d if d else x)
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ChainMap:
+class ChainMap(namedtuple("ChainMap", "source target matrices")):
     """Degreewise map between complexes of the same direction.
 
     matrices[d] maps source generators of degree d to target generators
     of degree d; degrees beyond either complex are treated as zero.
     """
 
-    source: MixedComplex
-    target: MixedComplex
-    matrices: tuple[IntMatrix, ...]
+    # no __slots__: the instance dict holds the cached check
 
     @functools.cached_property
     def _violations(self) -> tuple[Violation, ...]:

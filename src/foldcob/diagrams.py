@@ -8,7 +8,7 @@ class and its component count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -25,25 +25,21 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RegularArc:
-    circles: int
-    arcs: int = 0
+class RegularArc(namedtuple("RegularArc", "circles arcs", defaults=(0,))):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return self.circles + self.arcs
 
 
-@dataclass(frozen=True)
-class DiagramEvent:
-    fiber_class: str       # "I0" | "I1" | "I2" | "Ia"
-    components: int
+# fiber_class is "I0", "I1", "I2" or "Ia"
+DiagramEvent = namedtuple("DiagramEvent", "fiber_class components")
 
 
 class _Cells(dict):
     """Cells of one kind by their fields, each built once: ``cells[args]``
-    is ``kind(*args)``.  Cells are frozen and compare by value, so a
+    is ``kind(*args)``.  Cells are immutable and compare by value, so a
     diagram can hold one object for every equal cell."""
 
     def __init__(self, kind):
@@ -55,10 +51,9 @@ class _Cells(dict):
         return cell
 
 
-@dataclass(frozen=True)
-class CircleFiberDiagram:
-    mode: BoundaryMode
-    cells: tuple          # (arc, event, arc, event, ...) cyclically
+# cells is (arc, event, arc, event, ...), read cyclically
+class CircleFiberDiagram(namedtuple("CircleFiberDiagram", "mode cells")):
+    # no __slots__: the instance dict holds the cached check
 
     def arcs(self):
         return self.cells[0::2]
@@ -152,12 +147,8 @@ def algebraic_counts(d: CircleFiberDiagram) -> dict:
     return counts
 
 
-@dataclass(frozen=True)
-class CuspCount:
-    count: int
-    cross_check: str       # "ok" | "mismatch"
-    lhs: int
-    rhs: int
+# cross_check is "ok" or "mismatch"
+CuspCount = namedtuple("CuspCount", "count cross_check lhs rhs")
 
 
 def cusp_count_closed(d: CircleFiberDiagram) -> CuspCount:

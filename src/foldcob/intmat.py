@@ -21,22 +21,25 @@ results into dense rows once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+    # no __slots__: the instance dict holds the cached ``sparse_columns``
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
+    def __new__(cls, rows, cols, entries):
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
+        return tuple.__new__(cls, (rows, cols, entries))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds its copy here: check its shape too
+        return cls(*iterable)
 
     @staticmethod
     def from_rows(rows, cols=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -46,18 +46,12 @@ class CategoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: object
-    value: Fraction
-    kind: VertexKind
+# value is a Fraction, kind a VertexKind
+Vertex = namedtuple("Vertex", "id value kind")
 
 
-@dataclass(frozen=True)
-class ReebGraph:
-    orientable: bool
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[object, object], ...]
+class ReebGraph(namedtuple("ReebGraph", "orientable vertices edges")):
+    # no __slots__: the instance dict holds the cached sweep
 
     def count(self, kind: VertexKind) -> int:
         return sum(1 for v in self.vertices if v.kind is kind)
@@ -76,19 +70,10 @@ def make_graph(orientable, vertices, edges) -> ReebGraph:
     return ReebGraph(orientable, vs, es)
 
 
-@dataclass(frozen=True)
-class FiberEvent:
-    value: Fraction
-    fiber_class: str       # "I0" | "I1" | "I2"
-    parity: str            # "o" | "e"
-    sign: int | None       # None for I2
-    components: int
-
-
-@dataclass(frozen=True)
-class FiberProfile:
-    events: tuple[FiberEvent, ...]
-    counts: dict
+# fiber_class is "I0", "I1" or "I2", parity "o" or "e", sign None for I2
+FiberEvent = namedtuple("FiberEvent",
+                        "value fiber_class parity sign components")
+FiberProfile = namedtuple("FiberProfile", "events counts")
 
 
 _EVENT_CLASS = {_MIN: "I0", _MAX: "I0", _SADDLE: "I1", _DEG2: "I2"}
@@ -291,11 +276,7 @@ def fiber_profile(g: ReebGraph) -> FiberProfile:
         dict(s.tally))
 
 
-@dataclass(frozen=True)
-class InvariantVector:
-    z: int
-    w: int
-    category: Category
+InvariantVector = namedtuple("InvariantVector", "z w category")
 
 
 def invariants(g: ReebGraph, category: Category) -> InvariantVector:
@@ -311,12 +292,9 @@ def invariants(g: ReebGraph, category: Category) -> InvariantVector:
     return InvariantVector(z, w, category)
 
 
-@dataclass(frozen=True)
-class PieceMultiset:
-    n1: int  # capped star (one extremum)
-    n2: int  # saddle with two upper edges
-    n3: int  # saddle with two lower edges
-    n4: int  # cross-cap level
+# the pieces by kind: n1 capped stars (one extremum), n2 saddles with two
+# upper edges, n3 saddles with two lower edges, n4 cross-cap levels
+PieceMultiset = namedtuple("PieceMultiset", "n1 n2 n3 n4")
 
 
 def decompose(g: ReebGraph) -> PieceMultiset:
@@ -362,11 +340,9 @@ def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
     return make_graph(category.oriented, vertices, edges)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    invariants: InvariantVector
-    trace: tuple[tuple[str, int], ...]
-    canonical: ReebGraph
+# trace holds one (move, times) pair per move applied
+ReductionResult = namedtuple("ReductionResult",
+                             "invariants trace canonical")
 
 
 def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:

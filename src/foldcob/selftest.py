@@ -7,7 +7,7 @@ and additionally the numeric germ oracle, which needs numpy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .catalog import (CatalogId, catalog, counting_identities,
                       cusp_cocycle_check, fiber_classes, free_approximation,
@@ -25,11 +25,7 @@ from .reeb import (Category, VertexKind, cobordant, decompose, disjoint_union,
                    torus_graph, validate_reeb)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
 class _Failed(Exception):
@@ -126,8 +122,12 @@ def check_free_approximation():
 
 
 def check_catalog_validity():
+    # the aliases of CO32 return the CO32 object: check each object once
+    distinct = {}
     for cid in CatalogId:
-        bad = validate_complex(catalog(cid))
+        distinct.setdefault(catalog(cid), cid)
+    for cx, cid in distinct.items():
+        bad = validate_complex(cx)
         _need(not bad, f"{cid.value}: {bad[0] if bad else ''}")
     v32 = catalog(CatalogId.V32)
     _need(hom_dual(v32, RingTag.FREE) == catalog(CatalogId.CO32),
@@ -233,13 +233,13 @@ def check_fixtures():
     _need((pieces.n1, pieces.n2, pieces.n3, pieces.n4) == (2, 1, 1, 0),
           "torus decomposition")
     _need(euler_characteristic(rp2) == 1, "projective-plane Euler number")
-    sph_u = replace(sph, orientable=False)
+    sph_u = sph._replace(orientable=False)
     _need(not cobordant(rp2, sph_u, Category.UNORIENTED),
           "projective plane must not bound")
     for cat in Category:
         if cat.oriented:
             _need(cobordant(tor, sph, cat), f"torus vs sphere in {cat.value}")
-    _need(cobordant(replace(tor, orientable=False), sph_u,
+    _need(cobordant(tor._replace(orientable=False), sph_u,
                     Category.UNORIENTED), "torus vs sphere, unoriented")
 
 

@@ -222,7 +222,7 @@ def _homology(cx: MixedComplex, deg: int):
         free_rank=len(free_pos),
         torsion=tuple(d for _, d in tors_pos),
         basis_cycles=cycles,
-        _coord_rows=tuple(rows))
+        coord_rows=tuple(rows))
     return pres, to_cycle, u2, positions
 
 

@@ -105,6 +105,13 @@ def test_counting_identities_co32_pairs():
     assert all(i.F_terms == () for i in idents)
 
 
+@pytest.mark.parametrize("cid", [CatalogId.CO32_ORI, CatalogId.SCO32,
+                                 CatalogId.SCO32_ORI])
+def test_counting_identities_of_co32_aliases(cid):
+    # catalog(cid) is the CO32 object, so its identities are CO32's
+    assert counting_identities(cid) == counting_identities(CatalogId.CO32)
+
+
 def test_counting_identities_rejects_truncated_catalog():
     with pytest.raises(ComplexError):
         counting_identities(CatalogId.CO21)

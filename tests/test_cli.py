@@ -570,6 +570,7 @@ LOADS = {"base": BASE,
                             "foldcob.catalog"},
          "graph": BASE | {"foldcob.reeb"},
          "cusp": BASE | {"foldcob.reeb", "foldcob.diagrams"}}
+LOADS["selftest"] = LOADS["algebra"] | LOADS["cusp"] | {"foldcob.selftest"}
 
 
 def _fresh(code, *args):
@@ -582,11 +583,14 @@ def _fresh(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+# the records are named tuples, so no command imports dataclasses or
+# inspect: either one, if loaded, shows up in this list
 LOADED = """
 import json, sys
 from foldcob import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("foldcob"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("foldcob")
+                        or m in ("dataclasses", "inspect"))))
 sys.exit(code)
 """
 
@@ -616,6 +620,7 @@ def _command_files(tmp_path):
     (["cobordant", "--a", "{graph}", "--b", "{graph}", "--category",
       "oriented"], "graph"),
     (["cusp", "--in", "{closed}"], "cusp"),
+    (["selftest"], "selftest"),
 ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else v)
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     files = _command_files(tmp_path)

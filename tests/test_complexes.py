@@ -219,10 +219,10 @@ def test_presentation_holds_one_coordinate_row_per_summand():
         cx = catalog(cid)
         for deg in range(cx.top_degree + 1):
             pres = homology(cx, deg)
-            assert len(pres._coord_rows) == pres.rank
-            moduli = tuple(d for d, _ in pres._coord_rows)
+            assert len(pres.coord_rows) == pres.rank
+            moduli = tuple(d for d, _ in pres.coord_rows)
             assert moduli == (0,) * pres.free_rank + pres.torsion
-            for d, row in pres._coord_rows:
+            for d, row in pres.coord_rows:
                 assert list(row) == sorted(row)
                 assert len({j for j, _ in row}) == len(row)
                 assert all(x and (not d or 0 < x < d) for _, x in row)

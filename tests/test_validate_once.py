@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import foldcob
-from foldcob import complexes, diagrams, reeb
+from foldcob import complexes, diagrams, reeb, selftest
 from foldcob.catalog import (CatalogId, _dual_collapse, _identity_map,
                              catalog, free_approximation, hypercohomology,
                              suspension_map)
@@ -241,6 +241,22 @@ def test_co32_and_its_aliases_are_checked_once(complex_checks):
            CatalogId.SCO32_ORI)
     assert len({id(catalog(cid)) for cid in ids}) == 1
     assert complex_checks[0] == 1
+
+
+def test_selftest_checks_each_catalog_object_once(monkeypatch):
+    checked = []
+    validate = selftest.validate_complex
+
+    def counted(cx):
+        checked.append(cx)
+        return validate(cx)
+
+    monkeypatch.setattr(selftest, "validate_complex", counted)
+    selftest.check_catalog_validity()
+    # 12 ids, of which CO32_ORI, SCO32 and SCO32_ORI return the CO32 object
+    assert len(checked) == 9
+    assert len({id(cx) for cx in checked}) == 9
+    assert {id(catalog(cid)) for cid in CatalogId} == {id(cx) for cx in checked}
 
 
 def _line(coeff):
