@@ -28,9 +28,8 @@ the checkouts take turns, and their order flips from round to round, so
 that a drift of the machine during the run falls on all of them alike.
 Each timing is the median (and the least) of its REPEAT samples.  The
 results go under the ``--label`` of their checkout into the JSON file
-``--out`` (``BENCH_5.json`` at the repository root by default), next to
-any other labels already there.  To compare a parent checkout with this
-one:
+``--out``, which must be named, next to any other labels already there.
+To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
         --src src --label change --out BENCH_14.json
@@ -251,8 +250,9 @@ def main(argv=None):
     ap.add_argument("--label", action="append",
                     help="the label of each --src, in the same order "
                          "(default: change)")
-    ap.add_argument("--out", type=Path, default=REPO / "BENCH_5.json",
-                    help="JSON file that collects the runs by label")
+    ap.add_argument("--out", type=Path,
+                    help="JSON file that collects the runs by label; "
+                         "required unless --once")
     ap.add_argument("--once", action="store_true",
                     help="time each step once with the one --src and print "
                          "the sample as JSON")
@@ -266,6 +266,8 @@ def main(argv=None):
             ap.error("--once times one --src")
         print(json.dumps(sample(srcs[0])))
         return
+    if args.out is None:
+        ap.error("name the JSON file to collect the runs in with --out")
     sides = list(zip(labels, srcs))
     samples = {label: [] for label in labels}
     for r in range(REPEAT):

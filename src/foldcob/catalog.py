@@ -17,6 +17,13 @@ co-orientable classes (``_COOR_CLOSED``).  The simple-stable-map catalogs
 leave out only the class II6 (``_c32_z2(simple=True)``), which is not
 co-orientable, so they leave CO32 as it is; and no table here separates
 the oriented ids from the unoriented ones.
+
+CUSP32 and BCUSP32 orient the cusp class IIa oppositely: from I0 and I1
+to II01 and IIa, BCUSP32's coboundary is CUSP32's with IIa_o and IIa_e
+negated.  So the coboundary of the cusp cochain c2 is +IIa_o + IIa_e (plus
+the IIg terms) in BCUSP32 and -IIa_o - IIa_e in CUSP32.  The sign of a
+generator is a choice of orientation, so both complexes are sound; the
+tables keep the signs they have, which the exported matrices show.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 
-from .choices import CatalogId
+from .choices import CUSP_C1, CUSP_C2, CatalogId
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
                         RingTag, _dual_matrix, hom_dual,
                         homology, induced_is_isomorphism, induced_map,
@@ -111,17 +118,19 @@ def _truncated(cx: MixedComplex) -> MixedComplex:
     return MixedComplex(cx.direction, cx.generators[:2], cx.differentials[:1])
 
 
+# the integer coboundary out of degree 1 of CO32; CUSP32 and BCUSP32 add
+# their cusp and boundary terms to it
+_CO32_D1 = _both({"I0": {"II01_o": 1, "II01_e": -1},
+                  "I1": {"II01_o": -1, "II01_e": 1}})
+
+
 def _co32():
-    delta1 = {"I0_o": {"II01_o": 1, "II01_e": -1},
-              "I0_e": {"II01_o": 1, "II01_e": -1},
-              "I1_o": {"II01_o": -1, "II01_e": 1},
-              "I1_e": {"II01_o": -1, "II01_e": 1}}
     return make_complex(
         Direction.COHOMOLOGICAL,
         [_gens(_ordered(["0"]), _free),
          _gens(_ordered(["I0", "I1"]), _free),
          _gens(_ordered(["II01"]), _free)],
-        [_DELTA0, delta1])
+        [_DELTA0, _CO32_D1])
 
 
 _Z2_DELTA1 = _both({
@@ -185,11 +194,15 @@ def _f32():
     return make_complex(Direction.HOMOLOGICAL, degrees, [_V32_D1, d2])
 
 
+def _extended(extra):
+    """_CO32_D1 with the further terms extra[source] added to its rows."""
+    return {src: {**_CO32_D1.get(src, {}), **terms}
+            for src, terms in extra.items()}
+
+
 def _cusp32():
-    delta1 = {"I0_o": {"II01_o": 1, "II01_e": -1, "IIa_e": 1},
-              "I0_e": {"II01_o": 1, "II01_e": -1, "IIa_o": -1},
-              "I1_o": {"II01_o": -1, "II01_e": 1, "IIa_o": 1},
-              "I1_e": {"II01_o": -1, "II01_e": 1, "IIa_e": -1}}
+    delta1 = _extended({"I0_o": {"IIa_e": 1}, "I0_e": {"IIa_o": -1},
+                        "I1_o": {"IIa_o": 1}, "I1_e": {"IIa_e": -1}})
     return make_complex(
         Direction.COHOMOLOGICAL,
         [_gens(_ordered(["0"]), _free),
@@ -202,20 +215,16 @@ def _bcusp32():
     deg1 = _ordered(["I0", "I1", "Ia"])
     delta0 = {"0_o": {lbl: 1 for lbl in deg1},
               "0_e": {lbl: -1 for lbl in deg1}}
-    delta1 = {
-        "I0_o": {"II01_o": 1, "II01_e": -1, "IIa_e": -1,
-                 "II0a_o": -1, "II0a_e": 1, "IIg_e": -1},
-        "I0_e": {"II01_o": 1, "II01_e": -1, "IIa_o": 1,
-                 "II0a_o": -1, "II0a_e": 1, "IIg_o": 1},
-        "I1_o": {"II01_o": -1, "II01_e": 1, "IIa_o": -1,
-                 "II1a_o": -1, "II1a_e": 1, "IIb_e": -1},
-        "I1_e": {"II01_o": -1, "II01_e": 1, "IIa_e": 1,
-                 "II1a_o": -1, "II1a_e": 1, "IIb_o": 1},
+    delta1 = _extended({
+        "I0_o": {"IIa_e": -1, "II0a_o": -1, "II0a_e": 1, "IIg_e": -1},
+        "I0_e": {"IIa_o": 1, "II0a_o": -1, "II0a_e": 1, "IIg_o": 1},
+        "I1_o": {"IIa_o": -1, "II1a_o": -1, "II1a_e": 1, "IIb_e": -1},
+        "I1_e": {"IIa_e": 1, "II1a_o": -1, "II1a_e": 1, "IIb_o": 1},
         "Ia_o": {"II0a_o": 1, "II0a_e": -1, "II1a_o": 1, "II1a_e": -1,
                  "IIb_e": 1, "IIg_o": -1},
         "Ia_e": {"II0a_o": 1, "II0a_e": -1, "II1a_o": 1, "II1a_e": -1,
                  "IIb_o": -1, "IIg_e": 1},
-    }
+    })
     return make_complex(
         Direction.COHOMOLOGICAL,
         [_gens(_ordered(["0"]), _free),
@@ -334,8 +343,6 @@ def _dual_collapse(v: MixedComplex, g: RingTag) -> ChainMap:
 def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
     """Cohomology of the dualized free approximation, with the
     comparison map from the cohomology of the dualized mixed complex."""
-    if deg not in (0, 1, 2):
-        raise ComplexError("degree out of range 0..2")
     dual_lam = _dual_collapse(v, g)
     return Hypercohomology(homology(dual_lam.target, deg),
                            induced_map(dual_lam, deg),
@@ -397,8 +404,8 @@ def cusp_cocycle_check() -> CocycleReport:
     """
     cx = catalog(CatalogId.BCUSP32)
     d1 = cx.differentials[1]
-    c1 = cx.chain(1, {"Ia_o": 1, "Ia_e": -1, "I1_o": 1, "I1_e": -1})
-    c2 = cx.chain(1, {"I0_o": -1, "I0_e": 1})
+    c1 = cx.chain(1, dict(CUSP_C1))
+    c2 = cx.chain(1, dict(CUSP_C2))
     im1 = d1.apply(c1)
     im2 = d1.apply(c2)
     cusp_sum = cx.chain(2, dict.fromkeys(_ordered(_CUSP_CLASSES), 1))

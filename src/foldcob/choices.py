@@ -1,8 +1,11 @@
-"""The two named sets a user chooses from: the catalog ids and the
-cobordism categories.
+"""What the layers share without importing one another: the two named
+sets a user chooses from, the catalog ids and the cobordism categories,
+and the two cusp-counting cochains.
 
-A leaf module: the CLI offers these values as choices without importing
-``catalog`` or ``reeb``, which re-export them.
+A leaf module: the CLI offers the ids and categories as choices without
+importing ``catalog`` or ``reeb``, which re-export them.  The surface
+layer evaluates the cochains on signed fiber counts and ``catalog``
+checks them on the boundary catalog BCUSP32, so both read one copy.
 """
 
 from __future__ import annotations
@@ -34,3 +37,10 @@ class Category(Enum):
     @property
     def oriented(self) -> bool:
         return self in (Category.ORIENTED, Category.SIMPLE_ORIENTED)
+
+
+# The cusp cochains on the codimension-1 fiber classes, as (label,
+# coefficient) pairs: c2 = -I0_o + I0_e counts the cusps, and c1 + c2 is a
+# cocycle of BCUSP32, so the counts of a realizable diagram give c2 = -c1.
+CUSP_C1 = (("Ia_o", 1), ("Ia_e", -1), ("I1_o", 1), ("I1_e", -1))
+CUSP_C2 = (("I0_o", -1), ("I0_e", 1))

@@ -442,20 +442,14 @@ def is_surjective_on_degree(f: ChainMap, deg: int) -> bool:
 
 
 def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
-    """True iff the induced map on degree-deg homology is bijective."""
-    return _is_isomorphism(homology(f.source, deg), homology(f.target, deg),
-                           lambda: induced_map(f, deg))
-
-
-def _is_isomorphism(src: AbelianGroupPresentation,
-                    tgt: AbelianGroupPresentation, matrix) -> bool:
-    """Whether a map src -> tgt is bijective; matrix() is its matrix in
-    the computed bases, asked for only when the groups can be isomorphic.
+    """True iff the induced map on degree-deg homology is bijective.
 
     Equal invariant factors plus surjectivity suffice: a surjective
     endo-type map between isomorphic finitely generated groups is
-    injective (such groups are Hopfian).
+    injective (such groups are Hopfian).  The induced map is computed
+    only when the groups can be isomorphic.
     """
+    src, tgt = homology(f.source, deg), homology(f.target, deg)
     if (src.free_rank, src.torsion) != (tgt.free_rank, tgt.torsion):
         return False
     rel_cols = []
@@ -463,7 +457,7 @@ def _is_isomorphism(src: AbelianGroupPresentation,
         col = [0] * tgt.rank
         col[tgt.free_rank + i] = d
         rel_cols.append(col)
-    m = matrix().hstack(from_columns(rel_cols, tgt.rank))
+    m = induced_map(f, deg).hstack(from_columns(rel_cols, tgt.rank))
     return cokernel_is_trivial(m)
 
 

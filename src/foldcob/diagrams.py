@@ -12,8 +12,9 @@ from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
-from .reeb import (ReebGraph, _c2, _json_list, _parse_enum, _signed, _tally,
-                   _valid_sweep)
+from .choices import CUSP_C1, CUSP_C2
+from .reeb import (ReebGraph, _evaluate, _json_list, _parse_enum, _signed,
+                   _tally, _valid_sweep)
 
 
 class BoundaryMode(Enum):
@@ -68,7 +69,7 @@ class CircleFiberDiagram(namedtuple("CircleFiberDiagram", "mode cells")):
         return tuple(_diagram_problems(self))
 
 
-_CLASSES = {"I0", "I1", "I2", "Ia"}
+_CLASSES = ("I0", "I1", "I2", "Ia")
 
 
 def validate_diagram(d: CircleFiberDiagram) -> list[str]:
@@ -80,10 +81,7 @@ def _diagram_problems(d: CircleFiberDiagram) -> list[str]:
     cells = d.cells
     if len(cells) == 0:
         return ["diagram needs at least one arc"]
-    if len(cells) == 1:
-        if not isinstance(cells[0], RegularArc):
-            return ["single cell must be a regular arc"]
-    elif len(cells) % 2 != 0:
+    if len(cells) % 2 != 0 and len(cells) != 1:
         return ["cell list must alternate arc/event cyclically"]
     for i, cell in enumerate(cells):
         want_arc = i % 2 == 0
@@ -96,7 +94,8 @@ def _diagram_problems(d: CircleFiberDiagram) -> list[str]:
             out.append(f"arc {i}: arc components in a CLOSED diagram")
     for i, ev in enumerate(d.events()):
         if ev.fiber_class not in _CLASSES:
-            out.append(f"event {i}: unknown class {ev.fiber_class!r}")
+            out.append(f"event {i}: class must be one of "
+                       + ", ".join(_CLASSES))
             continue
         if ev.components < 1:
             out.append(f"event {i}: components must be >= 1")
@@ -175,8 +174,8 @@ def _cusp_count(d: CircleFiberDiagram, mode: BoundaryMode,
     if d.mode is not mode:
         raise DiagramError(f"{name} cusp count needs a {mode.value} diagram")
     c = algebraic_counts(d)
-    lhs = _c2(c)
-    rhs = -c["Ia_o"] + c["Ia_e"] - c["I1_o"] + c["I1_e"]
+    lhs = _evaluate(CUSP_C2, c)
+    rhs = -_evaluate(CUSP_C1, c)
     return CuspCount(lhs, "ok" if lhs == rhs else "mismatch", lhs, rhs)
 
 
@@ -198,8 +197,6 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
 def reverse(d: CircleFiberDiagram) -> CircleFiberDiagram:
     """The diagram read in the opposite direction around the circle."""
     _require_valid(d)
-    if len(d.cells) == 1:
-        return d
     cells = (d.cells[0],) + tuple(reversed(d.cells[1:]))
     return CircleFiberDiagram(d.mode, cells)
 

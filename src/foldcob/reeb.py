@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
-from .choices import Category
+from .choices import CUSP_C2, Category
 
 
 class VertexKind(Enum):
@@ -240,9 +240,9 @@ def _tally(signed, classes=("I0", "I1")) -> dict:
     return counts
 
 
-def _c2(counts: dict) -> int:
-    """The cusp cochain c2 = -I0_o + I0_e on a tally (z for a graph)."""
-    return counts["I0_e"] - counts["I0_o"]
+def _evaluate(cochain, counts: dict) -> int:
+    """A cochain of ``choices`` (CUSP_C1 or CUSP_C2) on a tally."""
+    return sum(c * counts[label] for label, c in cochain)
 
 
 def _valid_sweep(g: ReebGraph) -> _Sweep:
@@ -288,7 +288,7 @@ def invariants(g: ReebGraph, category: Category) -> InvariantVector:
     w = 0 if category.oriented else kinds[_DEG2] % 2
     n2, n3 = s.split
     _identity(z == n2 - n3, "strand-count")
-    _identity(z == _c2(s.tally), "signed minimum/maximum")
+    _identity(z == _evaluate(CUSP_C2, s.tally), "signed minimum/maximum")
     return InvariantVector(z, w, category)
 
 
@@ -357,9 +357,6 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
     pieces = decompose(g)
     pairs = min(pieces.n2, pieces.n3)
     rp2 = pieces.n4 // 2
-    if rp2 and category.oriented:
-        raise CategoryError("cross-cap cancellation outside unoriented "
-                            "categories")
     spheres = pieces.n1 + pairs + rp2
     trace = []
     if pairs:
@@ -368,9 +365,6 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
         trace.append(("CANCEL_RP2", rp2))
     if spheres:
         trace.append(("DELETE_SPHERE", spheres))
-    _identity(inv.z == pieces.n2 - pieces.n3, "z = n2 - n3")
-    if not category.oriented:
-        _identity(inv.w == pieces.n4 % 2, "w = n4 mod 2")
     return ReductionResult(inv, tuple(trace),
                            canonical_graph(inv.z, inv.w, category))
 

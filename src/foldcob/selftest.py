@@ -200,7 +200,7 @@ def _check_one_graph(g):
 _SWEEP_SIZE = 14   # random graphs have 1 to 14 sweep steps
 
 
-def check_random_sweep(per_category=100):
+def check_random_sweep(per_category):
     def body():
         for orientable in (True, False):
             for seed in range(per_category):
@@ -243,7 +243,11 @@ def check_fixtures():
                     Category.UNORIENTED), "torus vs sphere, unoriented")
 
 
-def run_all(per_category=100) -> list[CheckResult]:
+# random graphs per category in the selftest's sweep
+_SELFTEST_PER_CATEGORY = 100
+
+
+def run_all() -> list[CheckResult]:
     return [
         _run("criterion-1 catalog homology groups and relations",
              check_catalog_homology),
@@ -253,7 +257,8 @@ def run_all(per_category=100) -> list[CheckResult]:
              check_free_approximation),
         _run("criterion-4 catalog validity, duals, cusp cocycles",
              check_catalog_validity),
-        _run(f"criterion-5 random-graph property sweep (x{per_category} "
-             "per category)", check_random_sweep(per_category)),
+        _run(f"criterion-5 random-graph property sweep "
+             f"(x{_SELFTEST_PER_CATEGORY} per category)",
+             check_random_sweep(_SELFTEST_PER_CATEGORY)),
         _run("criterion-6 named surface fixtures", check_fixtures),
     ]

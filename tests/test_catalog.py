@@ -89,6 +89,20 @@ def test_bcusp32_shape_and_cocycles():
     assert tuple(-x for x in report.image_c2) == report.image_c1
 
 
+def test_bcusp32_negates_cusp32_on_iia():
+    # on I0, I1 -> II01, IIa the boundary catalog's coboundary is the
+    # closed one with the generators IIa_o and IIa_e negated
+    cusp, bcusp = catalog(CatalogId.CUSP32), catalog(CatalogId.BCUSP32)
+    for src in cusp.names(1):
+        for tgt in cusp.names(2):
+            sign = -1 if tgt.startswith("IIa_") else 1
+            c = cusp.differentials[1].entries[cusp.index(2, tgt)][
+                cusp.index(1, src)]
+            b = bcusp.differentials[1].entries[bcusp.index(2, tgt)][
+                bcusp.index(1, src)]
+            assert b == sign * c, (src, tgt)
+
+
 def test_counting_identities_cusp32():
     idents = {i.f_terms: i.F_terms
               for i in counting_identities(CatalogId.CUSP32)}

@@ -454,7 +454,9 @@ def _long_edge_id(d):
      "kind must be one of MIN, MAX, SADDLE, DEG2"),
     (_rp2_doc_with(_long_edge_id), ["invariants", "--category", "unoriented"],
      "references unknown vertex"),
-], ids=["mode", "kind", "edge-id"])
+    (_diagram_with(event={"class": "C" * 100_000}), ["cusp"],
+     "class must be one of I0, I1, I2, Ia"),
+], ids=["mode", "kind", "edge-id", "event-class"])
 def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
     line = cli_input_error(tmp_path, doc, *argv)
     assert needle in line

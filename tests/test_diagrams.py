@@ -20,6 +20,13 @@ def test_empty_diagram_is_valid():
     assert not validate_diagram(closed(RegularArc(0)))
 
 
+def test_single_cell_must_be_an_arc():
+    assert validate_diagram(closed(DiagramEvent("I0", 1))) == [
+        "cell 0: expected arc"]
+    d = closed(RegularArc(2))
+    assert reverse(d) == d
+
+
 def test_closed_rejects_boundary_class():
     d = closed(RegularArc(1), DiagramEvent("Ia", 1))
     assert any("boundary class" in v for v in validate_diagram(d))
