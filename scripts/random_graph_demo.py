@@ -12,6 +12,7 @@ histogram of (z, w) classes seen.
 from __future__ import annotations
 
 import argparse
+import sys
 from collections import Counter
 
 from foldcob.diagrams import cusp_count_closed, from_reeb
@@ -32,12 +33,16 @@ def main():
             inv = invariants(g, cat)
             res = reduce_to_normal_form(g, cat)
             canon_inv = invariants(res.canonical, cat)
-            assert (canon_inv.z, canon_inv.w) == (inv.z, inv.w)
+            if (canon_inv.z, canon_inv.w) != (inv.z, inv.w):
+                sys.exit(f"error: seed {seed}, {cat.value}: the normal form "
+                         "has other invariants")
             hist[(cat.name, inv.z, inv.w)] += 1
             if cat is Category.ORIENTED:
                 # the closed cusp count of the sweep diagram equals z
                 cusp = cusp_count_closed(from_reeb(g))
-                assert cusp.count == inv.z and cusp.cross_check == "ok"
+                if cusp.count != inv.z or cusp.cross_check != "ok":
+                    sys.exit(f"error: seed {seed}: the closed cusp count "
+                             "differs from z")
 
     print(f"{args.seeds} seeds, size {args.size}: all reductions consistent")
     for (cat, z, w), n in sorted(hist.items()):

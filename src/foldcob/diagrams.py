@@ -131,19 +131,18 @@ def _require_valid(d: CircleFiberDiagram):
 
 
 def algebraic_counts(d: CircleFiberDiagram) -> dict:
-    """Signed event totals per class and parity.
+    """The diagram's events tallied as ``fiber_profile`` tallies a graph's:
+    one total per generator label ``<class>_<parity>``, Ia included.
 
     Sign is +1 when the regular total-component parity goes even to odd
     in the counterclockwise direction.  The cross-cap class I2 does not
-    flip parity and is reported as an unsigned count mod 2.
+    flip parity and is counted mod 2 per parity.
     """
     _require_valid(d)
     # arcs()[i] is the regular level just before events()[i]
-    counts = _tally(_signed((ev.fiber_class, ev.components, before.total)
-                            for before, ev in zip(d.arcs(), d.events())),
-                    ("I0", "I1", "Ia"))
-    counts["I2"] %= 2
-    return counts
+    return _tally(_signed((ev.fiber_class, ev.components, before.total)
+                          for before, ev in zip(d.arcs(), d.events())),
+                  _CLASSES)
 
 
 # cross_check is "ok" or "mismatch"
@@ -262,38 +261,43 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
         mode = _parse_enum(BoundaryMode, doc["mode"], "mode")
         arcs, events = _Cells(RegularArc), _Cells(DiagramEvent)
         cells = []
-        for k, cell in enumerate(_json_list(doc, "cells")):
-            # a string would pass "arc" in cell as a substring test
-            if type(cell) is not dict:
-                raise ValueError(f"cell {k} must be an object, not "
-                                 f"{type(cell).__name__}")
-            if ("arc" in cell) == ("event" in cell):
-                raise ValueError(f"cell {k} needs exactly one of arc, event")
-            if "arc" in cell:
-                arc = cell["arc"]
-                if type(arc) is not dict:
-                    raise ValueError(f"cell {k} arc must be an object, not "
-                                     f"{type(arc).__name__}")
-                circles = arc["circles"]
-                if type(circles) is not int:
-                    circles = _json_int(circles, "circles")
-                n = arc.get("arcs", 0)
-                if type(n) is not int:
-                    n = _json_int(n, "arcs")
-                cells.append(arcs[circles, n])
-            else:
-                event = cell["event"]
-                if type(event) is not dict:
-                    raise ValueError(f"cell {k} event must be an object, "
-                                     f"not {type(event).__name__}")
-                cls = event["class"]
-                if not isinstance(cls, str):
-                    raise ValueError("event class must be a string, not "
-                                     f"{type(cls).__name__}")
-                n = event["components"]
-                if type(n) is not int:
-                    n = _json_int(n, "components")
-                cells.append(events[cls, n])
+        listed = _json_list(doc, "cells")
+        try:
+            for k, cell in enumerate(listed):
+                # a string would pass "arc" in cell as a substring test
+                if type(cell) is not dict:
+                    raise ValueError(f"cell {k} must be an object, not "
+                                     f"{type(cell).__name__}")
+                if ("arc" in cell) == ("event" in cell):
+                    raise ValueError(f"cell {k} needs exactly one of arc, "
+                                     "event")
+                if "arc" in cell:
+                    arc = cell["arc"]
+                    if type(arc) is not dict:
+                        raise ValueError(f"cell {k} arc must be an object, "
+                                         f"not {type(arc).__name__}")
+                    circles = arc["circles"]
+                    if type(circles) is not int:
+                        circles = _json_int(circles, "circles")
+                    n = arc.get("arcs", 0)
+                    if type(n) is not int:
+                        n = _json_int(n, "arcs")
+                    cells.append(arcs[circles, n])
+                else:
+                    event = cell["event"]
+                    if type(event) is not dict:
+                        raise ValueError(f"cell {k} event must be an object, "
+                                         f"not {type(event).__name__}")
+                    cls = event["class"]
+                    if not isinstance(cls, str):
+                        raise ValueError("event class must be a string, not "
+                                         f"{type(cls).__name__}")
+                    n = event["components"]
+                    if type(n) is not int:
+                        n = _json_int(n, "components")
+                    cells.append(events[cls, n])
+        except KeyError as exc:
+            raise ValueError(f"cell {k}: missing field {exc}") from exc
     except KeyError as exc:
         raise DiagramError("malformed diagram document: missing field "
                            f"{exc}") from exc

@@ -79,7 +79,12 @@ FiberProfile = namedtuple("FiberProfile", "events counts")
 _EVENT_CLASS = {_MIN: "I0", _MAX: "I0", _SADDLE: "I1", _DEG2: "I2"}
 
 
-_DEGREE = {_MIN: 1, _MAX: 1, _SADDLE: 3, _DEG2: 2}
+# each kind's degree, the numbers of its edges that may go up, and what
+# a vertex of the right degree lacks when its edges go otherwise
+_RULES = {_MIN: (1, (1,), "MIN must have its neighbor above"),
+          _MAX: (1, (0,), "MAX must have its neighbor below"),
+          _SADDLE: (3, (1, 2), "saddle needs edges on both sides"),
+          _DEG2: (2, (1,), "DEG2 needs one edge on each side")}
 
 
 def _value_key(x: Fraction):
@@ -119,19 +124,25 @@ class _Sweep:
         vs = g.vertices
         index = {v.id: i for i, v in enumerate(vs)}
         if len(index) != len(vs):
-            problems.append("duplicate vertex ids")
+            # index keeps an id's last vertex: the first vertex that is
+            # not its id's last carries the first repeated id
+            repeat = next(v.id for i, v in enumerate(vs) if index[v.id] != i)
+            problems.append(f"duplicate vertex ids: {_show_id(repeat)}")
             return
         keys = [_value_key(v.value) for v in vs]
         by_value = sorted(range(len(vs)), key=keys.__getitem__)
         # ranks in value order; equal values share a rank
         rank = [0] * len(vs)
         r = 0
+        tie = None
         for prev, i in zip(by_value, by_value[1:]):
             if keys[i] != keys[prev]:
                 r += 1
+            elif tie is None:
+                tie = f"{_show_id(vs[prev].id)} and {_show_id(vs[i].id)}"
             rank[i] = r
-        if vs and r + 1 != len(vs):
-            problems.append("vertex values not distinct")
+        if tie:
+            problems.append(f"vertex values not distinct: vertices {tie}")
         deg = [0] * len(vs)
         up = [0] * len(vs)
         unknown = False
@@ -155,22 +166,12 @@ class _Sweep:
             return
         sides = []
         for v, d, u in zip(vs, deg, up):
-            kind = v.kind
-            if d != _DEGREE[kind]:
-                problems.append(f"vertex {_show_id(v.id)}: {kind.value} "
+            degree, ups, lack = _RULES[v.kind]
+            if d != degree:
+                problems.append(f"vertex {_show_id(v.id)}: {v.kind.value} "
                                 f"has degree {d}")
-            elif kind is _MIN and u != 1:
-                sides.append(f"vertex {_show_id(v.id)}: "
-                             "MIN must have its neighbor above")
-            elif kind is _MAX and d - u != 1:
-                sides.append(f"vertex {_show_id(v.id)}: "
-                             "MAX must have its neighbor below")
-            elif kind is _SADDLE and u not in (1, 2):
-                sides.append(f"vertex {_show_id(v.id)}: "
-                             "saddle needs edges on both sides")
-            elif kind is _DEG2 and (u != 1 or d - u != 1):
-                sides.append(f"vertex {_show_id(v.id)}: "
-                             "DEG2 needs one edge on each side")
+            elif u not in ups:
+                sides.append(f"vertex {_show_id(v.id)}: {lack}")
         # every degree problem comes before every side problem
         problems += sides
         if g.orientable and any(v.kind is _DEG2 for v in vs):
@@ -213,8 +214,8 @@ class _Sweep:
 
     @cached_property
     def tally(self) -> dict:
-        """The signed tally of the graph's singular fibers.  Callers share
-        it, so they read it and never change it."""
+        """The graph's fiber cycle in V32, keyed as ``_tally`` keys it.
+        Callers share it, so they read it and never change it."""
         return _tally(_signed(self.events()))
 
 
@@ -228,15 +229,15 @@ def _signed(events):
                None if cls == "I2" else -1 if before % 2 else 1)
 
 
-def _tally(signed, classes=("I0", "I1")) -> dict:
-    """Signed totals per class and parity of a ``_signed`` stream; I2 is
-    counted unsigned."""
-    counts = {f"{cls}_{p}": 0 for cls in classes for p in "oe"} | {"I2": 0}
+def _tally(signed, classes=("I0", "I1", "I2")) -> dict:
+    """The fiber chain of a ``_signed`` stream: one total per generator
+    label ``<class>_<parity>`` of the catalogs, in their order.  A
+    signed event adds its sign; I2, a Z2 generator, is counted mod 2.
+    With the default classes the keys are those of V32 in degree 1."""
+    counts = {f"{cls}_{p}": 0 for cls in classes for p in "oe"}
     for cls, _, parity, sign in signed:
-        if sign is None:
-            counts["I2"] += 1
-        else:
-            counts[f"{cls}_{parity}"] += sign
+        key = f"{cls}_{parity}"
+        counts[key] = counts[key] ^ 1 if sign is None else counts[key] + sign
     return counts
 
 
@@ -265,9 +266,11 @@ def validate_reeb(g: ReebGraph) -> list[str]:
 
 
 def fiber_profile(g: ReebGraph) -> FiberProfile:
-    """One singular-fiber event per vertex, with signed totals.  A
-    parity-flipping event's sign is +1 when the regular-level component
-    parity goes even to odd with increasing value."""
+    """One singular-fiber event per vertex, and their tally, which is the
+    graph's fiber cycle in V32: ``counts`` has the keys of
+    ``catalog(V32).names(1)`` in that order.  A parity-flipping event's
+    sign is +1 when the regular-level component parity goes even to odd
+    with increasing value."""
     s = _valid_sweep(g)
     return FiberProfile(
         tuple(FiberEvent(v.value, cls, parity, sign, components)
@@ -506,19 +509,23 @@ def graph_from_json(doc) -> ReebGraph:
             raise ValueError("orientable must be true or false, not "
                              f"{type(orientable).__name__}")
         vertices = []
-        for n, v in enumerate(_json_list(doc, "vertices")):
-            try:
-                i = v["id"]
-            except TypeError:
-                raise ValueError(f"vertex {n} must be an object, not "
-                                 f"{type(v).__name__}") from None
-            if type(i) is not int and type(i) is not str:
-                i = _parse_id(i)
-            value = _parse_frac(v["value"])
-            raw = v["kind"]
-            kind = _KIND.get(raw) if type(raw) is str else None
-            vertices.append(Vertex(i, value, kind
-                                   or _parse_enum(VertexKind, raw, "kind")))
+        listed = _json_list(doc, "vertices")
+        try:
+            for n, v in enumerate(listed):
+                try:
+                    i = v["id"]
+                except TypeError:
+                    raise ValueError(f"vertex {n} must be an object, not "
+                                     f"{type(v).__name__}") from None
+                if type(i) is not int and type(i) is not str:
+                    i = _parse_id(i)
+                value = _parse_frac(v["value"])
+                raw = v["kind"]
+                kind = _KIND.get(raw) if type(raw) is str else None
+                vertices.append(Vertex(i, value, kind or _parse_enum(
+                    VertexKind, raw, "kind")))
+        except KeyError as exc:
+            raise ValueError(f"vertex {n}: missing field {exc}") from exc
         edges = []
         for n, e in enumerate(_json_list(doc, "edges")):
             # only a list: a string or an object would unpack too

@@ -23,12 +23,16 @@ def validate_reeb(g) -> list[str]:
     out = []
     ids = [v.id for v in g.vertices]
     if len(set(ids)) != len(ids):
-        out.append("duplicate vertex ids")
+        repeat = next(i for i in ids if ids.count(i) > 1)
+        out.append(f"duplicate vertex ids: {repeat}")
         return out
     byid = {v.id: v for v in g.vertices}
-    values = [v.value for v in g.vertices]
-    if len(set(values)) != len(values):
-        out.append("vertex values not distinct")
+    ordered = sorted(g.vertices, key=lambda v: v.value)
+    ties = [(a.id, b.id) for a, b in zip(ordered, ordered[1:])
+            if a.value == b.value]
+    if ties:
+        a, b = ties[0]
+        out.append(f"vertex values not distinct: vertices {a} and {b}")
     deg = {v.id: 0 for v in g.vertices}
     unknown = False
     for a, b in g.edges:
@@ -86,7 +90,8 @@ def fiber_profile(g) -> FiberProfile:
     _require_valid(g)
     spans = _spans(g)
     events = []
-    counts = {"I0_o": 0, "I0_e": 0, "I1_o": 0, "I1_e": 0, "I2": 0}
+    counts = {"I0_o": 0, "I0_e": 0, "I1_o": 0, "I1_e": 0, "I2_o": 0,
+              "I2_e": 0}
     for v in sorted(g.vertices, key=lambda w: w.value):
         strict = sum(1 for lo, hi in spans if lo < v.value < hi)
         below = sum(1 for lo, hi in spans if lo < v.value <= hi)
@@ -95,7 +100,7 @@ def fiber_profile(g) -> FiberProfile:
         cls = _EVENT_CLASS[v.kind]
         if cls == "I2":
             sign = None
-            counts["I2"] += 1
+            counts[f"I2_{parity}"] = (counts[f"I2_{parity}"] + 1) % 2
         else:
             sign = 1 if below % 2 == 0 else -1
             counts[f"{cls}_{parity}"] += sign

@@ -445,6 +445,11 @@ def _long_edge_id(d):
     d["edges"].append([0, "x" * 20000])
 
 
+def _long_duplicate_id(d):
+    for v in d["vertices"][:2]:
+        v["id"] = "x" * 100_000
+
+
 # enum values and ids are named or cut short, never echoed whole
 @pytest.mark.parametrize("doc, argv, needle", [
     ({**_diagram_with(), "mode": [0] * 20000}, ["cusp"],
@@ -456,7 +461,10 @@ def _long_edge_id(d):
      "references unknown vertex"),
     (_diagram_with(event={"class": "C" * 100_000}), ["cusp"],
      "class must be one of I0, I1, I2, Ia"),
-], ids=["mode", "kind", "edge-id", "event-class"])
+    (_rp2_doc_with(_long_duplicate_id),
+     ["invariants", "--category", "unoriented"],
+     "duplicate vertex ids: " + "x" * 40 + "..."),
+], ids=["mode", "kind", "edge-id", "event-class", "duplicate-id"])
 def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
     line = cli_input_error(tmp_path, doc, *argv)
     assert needle in line
@@ -488,8 +496,22 @@ _HUGE_VALUE = json.dumps(graph_to_json(projective_plane_graph())).replace(
      ["cusp"], "missing field 'mode'", "document: 'mode'"),
     (_HUGE_VALUE, ["invariants", "--category", "unoriented"],
      "JSON number with too many digits", "set_int_max_str_digits"),
+    # these named nothing: the first problem names its vertex or cell
+    (_rp2_text_with(lambda d: d["vertices"][2].update(id=1)),
+     ["invariants", "--category", "unoriented"],
+     "duplicate vertex ids: 1", "references"),
+    (_rp2_text_with(lambda d: d["vertices"][2].update(value="1/1")),
+     ["invariants", "--category", "unoriented"],
+     "vertex values not distinct: vertices 1 and 2", "joins equal values"),
+    (_rp2_text_with(lambda d: d["vertices"][1].pop("kind")),
+     ["invariants", "--category", "unoriented"],
+     "vertex 1: missing field 'kind'", "document: missing"),
+    (json.dumps({"mode": "CLOSED", "cells": [{"arc": {"circles": 0}},
+                                              {"event": {"class": "I0"}}]}),
+     ["cusp"], "cell 1: missing field 'components'", "document: missing"),
 ], ids=["vertex-list", "bare-int-edges", "edge-triple", "no-mode",
-        "5000-digit-int"])
+        "5000-digit-int", "duplicate-id", "tied-values", "vertex-field",
+        "cell-field"])
 def test_input_error_names_the_field(tmp_path, text, argv, needle, leak):
     path = tmp_path / "doc.json"
     path.write_text(text)

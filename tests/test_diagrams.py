@@ -60,10 +60,7 @@ def test_from_reeb_counts_match_profile():
     for seed in range(60):
         g = random_reeb(seed, 3 + seed % 9, seed % 2 == 0)
         counts = algebraic_counts(from_reeb(g))
-        prof = fiber_profile(g)
-        for key in ("I0_o", "I0_e", "I1_o", "I1_e"):
-            assert counts[key] == prof.counts[key]
-        assert counts["I2"] == prof.counts["I2"] % 2
+        assert counts == {**fiber_profile(g).counts, "Ia_o": 0, "Ia_e": 0}
 
 
 def test_reverse_negates_counts():
@@ -187,17 +184,18 @@ def _walk_diagrams(draw):
 def _reference_counts(d):
     """The counting rule written out per event: the sign is +1 when the
     regular total before the event is even, the parity is that of the
-    event's components, and I2 is counted mod 2."""
-    counts = dict.fromkeys(["I0_o", "I0_e", "I1_o", "I1_e", "Ia_o", "Ia_e",
-                            "I2"], 0)
+    event's components, and I2 is counted mod 2 per parity."""
+    counts = dict.fromkeys(["I0_o", "I0_e", "I1_o", "I1_e", "I2_o", "I2_e",
+                            "Ia_o", "Ia_e"], 0)
     for i in range(1, len(d.cells), 2):
         ev, before = d.cells[i], d.cells[i - 1]
+        parity = "o" if ev.components % 2 == 1 else "e"
+        key = f"{ev.fiber_class}_{parity}"
         if ev.fiber_class == "I2":
-            counts["I2"] = (counts["I2"] + 1) % 2
+            counts[key] = (counts[key] + 1) % 2
             continue
         sign = 1 if (before.circles + before.arcs) % 2 == 0 else -1
-        parity = "o" if ev.components % 2 == 1 else "e"
-        counts[f"{ev.fiber_class}_{parity}"] += sign
+        counts[key] += sign
     return counts
 
 

@@ -57,7 +57,7 @@ SAMPLES = {
     "ReebGraph": _graph,
     "FiberEvent": lambda: FiberEvent(Fraction(0), "I0", "o", 1, 1),
     "FiberProfile": lambda: FiberProfile(
-        (FiberEvent(Fraction(0), "I2", "o", None, 1),), {"I2": 1}),
+        (FiberEvent(Fraction(0), "I2", "o", None, 1),), {"I2_o": 1}),
     "InvariantVector": lambda: InvariantVector(1, 0, Category.UNORIENTED),
     "PieceMultiset": lambda: PieceMultiset(n1=2, n2=1, n3=1, n4=0),
     "ReductionResult": lambda: ReductionResult(
@@ -113,7 +113,7 @@ REPRS = {
                   "parity='o', sign=1, components=1)",
     "FiberProfile": "FiberProfile(events=(FiberEvent(value=Fraction(0, 1), "
                     "fiber_class='I2', parity='o', sign=None, "
-                    "components=1),), counts={'I2': 1})",
+                    "components=1),), counts={'I2_o': 1})",
     "InvariantVector": "InvariantVector(z=1, w=0, "
                        "category=<Category.UNORIENTED: 'unoriented'>)",
     "PieceMultiset": "PieceMultiset(n1=2, n2=1, n3=1, n4=0)",

@@ -80,14 +80,15 @@ def test_one_saddle_two_max_profile():
                    [(0, 1), (1, 2), (1, 3)])
     prof = fiber_profile(g)
     assert prof.counts == {"I0_o": 0, "I0_e": 1, "I1_o": -1, "I1_e": 0,
-                           "I2": 0}
+                           "I2_o": 0, "I2_e": 0}
     inv = invariants(g, Category.ORIENTED)
     assert inv.z == 1
     assert -prof.counts["I0_o"] + prof.counts["I0_e"] == inv.z
 
 
 def test_projective_plane_crosscap_count():
-    assert fiber_profile(projective_plane_graph()).counts["I2"] == 1
+    # the cross-cap level's fiber is one circle: an odd I2 event
+    assert fiber_profile(projective_plane_graph()).counts["I2_o"] == 1
 
 
 def test_decompositions():
