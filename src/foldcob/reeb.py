@@ -105,22 +105,24 @@ class _Sweep:
     forms no reference cycle and is freed with the graph.
 
     ``problems`` lists what makes the graph invalid, in the order
-    ``validate_reeb`` reports it.  When there are none, ``order`` holds
-    the vertices by increasing value and, position by position, ``up``
-    and ``down`` count their edges to higher and to lower vertices and
-    ``below`` counts the edges crossing the regular level just below the
+    ``validate_reeb`` reports it.  Only when there are none does the
+    sweep hold the rest.  ``order`` holds the vertices by increasing
+    value, ``_value_key`` being the one rule that orders them; position
+    by position, ``down`` counts their edges to lower vertices and
+    ``below`` the edges crossing the regular level just below the
     vertex.  An edge counts as up at its lower end and as down at its
     upper end, so the edges crossing a regular level are the ups minus
     the downs of the vertices under it: one sort and one pass over the
     edges give every count, in O((V+E) log V).
 
-    The totals the invariants read, ``kinds``, ``split`` and ``tally``,
-    are worked out from these lists on first use and kept.
+    The same ordered pass counts the totals the invariants read:
+    ``kinds``, the number of vertices of each kind, and ``split``, the
+    saddles with two upper and with two lower edges.  The signed
+    ``tally`` is worked out from ``events()`` on first use and kept.
     """
 
     def __init__(self, g: ReebGraph):
         self.problems = problems = []
-        self.order, self.up, self.down, self.below = [], [], [], []
         vs = g.vertices
         index = {v.id: i for i, v in enumerate(vs)}
         if len(index) != len(vs):
@@ -178,19 +180,20 @@ class _Sweep:
             problems.append("DEG2 vertex in an orientable graph")
         if problems:
             return
-        self.order = [vs[i] for i in by_value]
-        self.up = [up[i] for i in by_value]
-        self.down = [deg[i] - up[i] for i in by_value]
+        self.order = order = [vs[i] for i in by_value]
+        self.down = down = [deg[i] - up[i] for i in by_value]
         self.below = below = []
-        crossing = 0
-        for u, d in zip(self.up, self.down):
+        self.kinds = kinds = dict.fromkeys(VertexKind, 0)
+        crossing = n2 = 0
+        for i, v, d in zip(by_value, order, down):
+            u = up[i]
             below.append(crossing)
             crossing += u - d
-
-    def saddle_signs(self):
-        """+1 or -1 for each saddle, in value order."""
-        return [1 if u == 2 else -1
-                for v, u in zip(self.order, self.up) if v.kind is _SADDLE]
+            kinds[v.kind] += 1
+            # only a saddle splitting upwards has two upper edges
+            if u == 2:
+                n2 += 1
+        self.split = n2, kinds[_SADDLE] - n2
 
     def events(self):
         """(class, components, regular components below) of each vertex's
@@ -198,19 +201,6 @@ class _Sweep:
         for v, down, below in zip(self.order, self.down, self.below):
             # the vertex's own component plus every edge through its level
             yield _EVENT_CLASS[v.kind], 1 + below - down, below
-
-    @cached_property
-    def kinds(self) -> dict:
-        """The number of vertices of each kind."""
-        kinds = [v.kind for v in self.order]
-        return {k: kinds.count(k) for k in VertexKind}
-
-    @cached_property
-    def split(self) -> tuple[int, int]:
-        """(n2, n3): the saddles with two upper and with two lower edges."""
-        signs = self.saddle_signs()
-        n2 = signs.count(1)
-        return n2, len(signs) - n2
 
     @cached_property
     def tally(self) -> dict:
@@ -315,6 +305,10 @@ def euler_characteristic(g: ReebGraph) -> int:
 
 def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
     """The normal-form graph with the given invariants."""
+    if w not in (0, 1):
+        raise ValueError(f"w must be 0 or 1, not {w!r}")
+    if w and category.oriented:
+        raise CategoryError("an oriented category has no w = 1 graph")
     vertices = []
     edges = []
     nid = 0
@@ -380,18 +374,20 @@ def cobordant(g1: ReebGraph, g2: ReebGraph, category: Category) -> bool:
 
 def disjoint_union(g1: ReebGraph, g2: ReebGraph) -> ReebGraph:
     """Union with ids relabeled and values re-ranked (order-preserving)."""
-    _valid_sweep(g1)
-    _valid_sweep(g2)
-    tagged = ([(v.value, 0, v) for v in g1.vertices]
-              + [(v.value, 1, v) for v in g2.vertices])
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    newid = {}
+    # imported on first use: the graph commands never join graphs
+    import heapq
+    s1, s2 = _valid_sweep(g1), _valid_sweep(g2)
+    newid = ({}, {})
     vertices = []
-    for rank, (_, side, v) in enumerate(tagged):
-        newid[(side, v.id)] = rank
+    # one operand's values are distinct, so a tie in value falls to the
+    # side, first operand first, and no two vertices are compared
+    merged = heapq.merge(((_value_key(v.value), 0, v) for v in s1.order),
+                         ((_value_key(v.value), 1, v) for v in s2.order))
+    for rank, (_, side, v) in enumerate(merged):
+        newid[side][v.id] = rank
         vertices.append(Vertex(rank, Fraction(rank), v.kind))
-    edges = [(newid[(0, a)], newid[(0, b)]) for a, b in g1.edges]
-    edges += [(newid[(1, a)], newid[(1, b)]) for a, b in g2.edges]
+    edges = [(ids[a], ids[b]) for ids, g in zip(newid, (g1, g2))
+             for a, b in g.edges]
     return ReebGraph(g1.orientable and g2.orientable,
                      tuple(vertices), tuple(edges))
 
@@ -491,7 +487,7 @@ def klein_bottle_graph() -> ReebGraph:
 
 
 def graph_to_json(g: ReebGraph) -> dict:
-    vs = sorted(g.vertices, key=lambda v: v.value)
+    vs = sorted(g.vertices, key=lambda v: _value_key(v.value))
     return {
         "orientable": g.orientable,
         "vertices": [{"id": v.id, "value": _frac_str(v.value),

@@ -346,6 +346,11 @@ def test_unreadable_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "cusp", "--in", str(tmp_path / "missing.json"))
     assert code == 1
     assert "cannot read" in err
+    # bytes that are not UTF-8: the line names the file, not the codec
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    err = cli_file_error(path, "invariants", "--category", "oriented")
+    assert err.startswith(f"error: cannot read {path}: ")
 
 
 def test_selftest_runs_clean(capsys):

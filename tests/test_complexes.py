@@ -439,3 +439,34 @@ def test_chain_map_on_malformed_complex_reports_its_shape(bad_end):
     assert "differential is 2x1, expected 1x1" in found[0].detail
     with pytest.raises(ComplexError, match="not a chain map: shape"):
         induced_map(f, 0)
+
+
+def _point(direction, ring=RingTag.FREE):
+    """One generator in degree 0 and no differential."""
+    return make_complex(direction, [[("p", ring)]], [])
+
+
+_HOM, _COH = Direction.HOMOLOGICAL, Direction.COHOMOLOGICAL
+
+
+@pytest.mark.parametrize("source, target, matrices, want", [
+    (_point(_HOM), _point(_COH), (IntMatrix.identity(1),),
+     ("direction mismatch", 0, "source vs target")),
+    (_point(_HOM), _point(_HOM), (),
+     ("shape", 0, "wrong number of degree matrices")),
+    (_point(_HOM), _point(_HOM), (IntMatrix.identity(2),),
+     ("shape", 0, "matrix shape mismatch")),
+    # Hom(Z2, Z) = 0, so a torsion generator cannot map onto a free one
+    (_point(_HOM, RingTag.TWO_TORSION), _point(_HOM),
+     (IntMatrix.identity(1),),
+     ("two-torsion source maps to free target", 0, "p")),
+])
+def test_chain_map_violations_name_their_cause(source, target, matrices,
+                                               want):
+    found = validate_chain_map(ChainMap(source, target, matrices))
+    assert found and tuple(found[0]) == want
+
+
+def test_hom_dual_refuses_a_cochain_complex():
+    with pytest.raises(ComplexError, match="expects a homological complex"):
+        hom_dual(_point(_COH), RingTag.FREE)

@@ -216,3 +216,37 @@ def test_counting_rule_matches_per_event_reference(d):
         assert cusp_count_boundary(d) == want
         with pytest.raises(DiagramError, match="needs a CLOSED"):
             cusp_count_closed(d)
+
+
+@pytest.mark.parametrize("mode, cells, first", [
+    ("CLOSED", (), "diagram needs at least one arc"),
+    ("CLOSED", (RegularArc(0), DiagramEvent("I0", 1), RegularArc(1)),
+     "cell list must alternate arc/event cyclically"),
+    ("CLOSED", (RegularArc(-1),), "arc 0: negative component count"),
+    ("CLOSED", (RegularArc(0, 1),),
+     "arc 0: arc components in a CLOSED diagram"),
+    ("CLOSED", (RegularArc(1), DiagramEvent("I2", 0)),
+     "event 0: components must be >= 1"),
+    ("CLOSED", (RegularArc(1), DiagramEvent("I2", 1), RegularArc(2),
+                DiagramEvent("I2", 1)),
+     "event 0: I2 transition must keep both counts"),
+    ("WITH_BOUNDARY", (RegularArc(1, 1), DiagramEvent("Ia", 1)),
+     "event 0: Ia transition must change the total count by 1"),
+])
+def test_each_diagram_problem_is_reported_first(mode, cells, first):
+    d = CircleFiberDiagram(BoundaryMode(mode), cells)
+    assert validate_diagram(d)[0] == first
+
+
+def test_union_with_a_single_arc_shifts_the_other_diagram():
+    d = closed(RegularArc(0), DiagramEvent("I0", 1), RegularArc(1),
+               DiagramEvent("I0", 1))
+    lone = closed(RegularArc(2))
+    want = closed(RegularArc(2), DiagramEvent("I0", 3), RegularArc(3),
+                  DiagramEvent("I0", 3))
+    assert disjoint_union_diagrams(lone, d) == want
+    assert disjoint_union_diagrams(d, lone) == want
+    boundary = CircleFiberDiagram(BoundaryMode.WITH_BOUNDARY,
+                                  (RegularArc(0, 1),))
+    with pytest.raises(DiagramError, match="different modes"):
+        disjoint_union_diagrams(lone, boundary)

@@ -134,6 +134,19 @@ def test_canonical_graphs_validate():
             assert (inv.z, inv.w) == (z, w)
 
 
+@pytest.mark.parametrize("z", [-1, 0, 2])
+def test_canonical_graph_refuses_w_it_cannot_realise(z):
+    # an oriented category has no cross-cap level, so no w = 1 graph
+    for cat in Category:
+        if cat.oriented:
+            with pytest.raises(CategoryError):
+                canonical_graph(z, 1, cat)
+    # w is read mod 2 from the cross-cap count, so only 0 and 1 exist
+    for w in (-1, 2):
+        with pytest.raises(ValueError, match="w must be 0 or 1"):
+            canonical_graph(z, w, Category.UNORIENTED)
+
+
 def test_cobordant_fixtures():
     assert cobordant(torus_graph(), sphere_graph(), Category.ORIENTED)
     sph_u = make_graph(False, [(0, 0, "MIN"), (1, 1, "MAX")], [(0, 1)])
@@ -210,7 +223,7 @@ def _one_saddle_two_max():
 
 def test_invariant_identities_fire_on_inconsistent_counts():
     g = _one_saddle_two_max()
-    g._sweep.up[1] = 1   # the saddle now reads as having two lower edges
+    g._sweep.split = 0, 1   # the saddle now reads as having two lower edges
     with pytest.raises(AssertionError, match="strand-count"):
         invariants(g, Category.ORIENTED)
     g = _one_saddle_two_max()

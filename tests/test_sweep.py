@@ -12,7 +12,8 @@ sys.path.insert(0, "tests")
 
 from foldcob.diagrams import cusp_count_closed, from_reeb
 from foldcob.reeb import (Category, ReebError, ReebGraph, Vertex, VertexKind,
-                          decompose, fiber_profile, invariants, random_reeb,
+                          decompose, disjoint_union, fiber_profile,
+                          graph_to_json, invariants, random_reeb,
                           validate_reeb)
 
 import reeb_reference as ref
@@ -85,9 +86,9 @@ def test_sweep_matches_reference(seed, size, orientable, damaged, rng):
     assert fiber_profile(g) == ref.fiber_profile(g)
     assert decompose(g) == ref.decompose(g)
     assert from_reeb(g) == ref.from_reeb(g)
-    saddles = sorted((v for v in g.vertices if v.kind is VertexKind.SADDLE),
-                     key=lambda v: v.value)
-    assert g._sweep.saddle_signs() == [ref.saddle_sign(g, v) for v in saddles]
+    signs = [ref.saddle_sign(g, v) for v in g.vertices
+             if v.kind is VertexKind.SADDLE]
+    assert g._sweep.split == (signs.count(1), signs.count(-1))
 
 
 def test_hundred_thousand_vertices_in_near_linear_time():
@@ -118,3 +119,24 @@ def test_sweep_orders_values_floats_cannot_tell_apart(base, step):
     assert validate_reeb(g) == []
     assert fiber_profile(g) == ref.fiber_profile(g)
     assert from_reeb(g) == ref.from_reeb(g)
+    exact = sorted(g.vertices, key=lambda v: v.value)
+    assert [v["id"] for v in graph_to_json(g)["vertices"]] == \
+        [v.id for v in exact]
+    # a second operand with the same values, and one whose values fall
+    # between the first one's: the union ranks the vertices of both in
+    # exact value order, the first operand's first on a tie
+    between = ReebGraph(g.orientable,
+                        tuple(Vertex(v.id, v.value + step / 2, v.kind)
+                              for v in g.vertices), g.edges)
+    for h in (g, between):
+        tagged = sorted([(v.value, 0, v) for v in g.vertices]
+                        + [(v.value, 1, v) for v in h.vertices],
+                        key=lambda t: t[:2])
+        rank = {(side, v.id): r for r, (_, side, v) in enumerate(tagged)}
+        union = disjoint_union(g, h)
+        assert [v.kind for v in union.vertices] == \
+            [v.kind for _, _, v in tagged]
+        assert union.edges == tuple((rank[side, a], rank[side, b])
+                                    for side, x in enumerate((g, h))
+                                    for a, b in x.edges)
+        assert validate_reeb(union) == []

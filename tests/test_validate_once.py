@@ -192,7 +192,7 @@ assert False, "asserts are on"
 from foldcob.reeb import Category, invariants, make_graph
 g = make_graph(True, [(0, 0, "MIN"), (1, 1, "SADDLE"), (2, 2, "MAX"),
                       (3, 3, "MAX")], [(0, 1), (1, 2), (1, 3)])
-g._sweep.up[1] = 1   # the saddle now reads as having two lower edges
+g._sweep.split = 0, 1   # the saddle now reads as having two lower edges
 invariants(g, Category.ORIENTED)
 """
 
