@@ -33,10 +33,9 @@ from collections import namedtuple
 
 from .choices import CUSP_C1, CUSP_C2, CatalogId
 from .complexes import (ChainMap, ComplexError, Direction, MixedComplex,
-                        RingTag, _dual_matrix, hom_dual,
-                        homology, induced_is_isomorphism, induced_map,
-                        is_surjective_on_degree, make_complex,
-                        validate_chain_map, validate_complex)
+                        RingTag, hom_dual, homology, induced_is_isomorphism,
+                        induced_map, make_complex, validate_chain_map,
+                        validate_complex)
 from .intmat import IntMatrix
 
 
@@ -77,22 +76,22 @@ def _z2(_lbl):
 _DEG2_CLOSED = ["II00", "II01", "II02", "II11", "II12", "II22",
                 "II3", "II4", "II5", "II6", "II7"]
 _COOR_CLOSED = {"0", "I0", "I1", "II01", "IIa"}
-_COOR_BOUNDARY = {"0", "I0", "I1", "Ia", "II01", "II0a", "II1a",
-                  "IIb", "IIg", "IIa"}
 _CUSP_CLASSES = {"IIa", "IIg"}
 
 
 def fiber_classes(catalog_id: CatalogId) -> tuple[FiberClass, ...]:
     """The classes appearing in a catalog, in generator order."""
     cx = catalog(catalog_id)
-    coor = _COOR_BOUNDARY if catalog_id is CatalogId.BCUSP32 else _COOR_CLOSED
+    # every class of the integer boundary catalog BCUSP32 is co-orientable
+    every = catalog_id is CatalogId.BCUSP32
     out = []
     for deg in range(cx.top_degree + 1):
         for g in cx.generators[deg]:
             if g.name == "A":
                 continue
             name, parity = g.name.rsplit("_", 1)
-            out.append(FiberClass(name, parity, deg, name in coor,
+            out.append(FiberClass(name, parity, deg,
+                                  every or name in _COOR_CLOSED,
                                   name in _CUSP_CLASSES))
     return tuple(out)
 
@@ -262,32 +261,40 @@ def catalog(catalog_id: CatalogId) -> MixedComplex:
     return cx
 
 
-# the name-preserving chain map from the n=2 to the n=3 complex, with the
-# pullback it induces on the co-orientable / Z2 cochain side
+@functools.lru_cache(maxsize=None)
+def _name_map(src: MixedComplex, tgt: MixedComplex) -> ChainMap:
+    """The map by generator names: in every degree both complexes have,
+    each generator of src goes to the generator of tgt with its name, or
+    to 0.  Every catalog chain map is one; built and checked once per pair
+    of complexes."""
+    f = ChainMap(src, tgt, tuple(
+        IntMatrix.from_rows([[int(g.name == h.name) for g in src.generators[d]]
+                             for h in tgt.generators[d]], src.n(d))
+        for d in range(min(src.top_degree, tgt.top_degree) + 1)))
+    bad = validate_chain_map(f)
+    if bad:
+        raise ComplexError(f"map by names is not a chain map: {bad[0]}")
+    return f
+
+
+# the chain map from the n=2 to the n=3 complex, with the pullback it
+# induces on the co-orientable / Z2 cochain side
 SuspensionMaps = namedtuple("SuspensionMaps", "chain pullback")
 
 
 @functools.lru_cache(maxsize=None)
-def _identity_map(src, tgt, what):
-    """The checked map that is the identity on the generators of degrees
-    0 and 1; built once per pair of complexes, so that both variants share
-    one chain map V21 -> V32."""
-    f = ChainMap(src, tgt, tuple(IntMatrix.identity(tgt.n(d)) for d in (0, 1)))
-    if validate_chain_map(f):
-        raise ComplexError(f"suspension {what} fails chain condition")
-    return f
-
-
-@functools.lru_cache(maxsize=None)
 def suspension_map(variant: str) -> SuspensionMaps:
-    """variant 'co_Z': pullback CO32 -> CO21; 'full_Z2': C32_Z2 -> C21_Z2."""
+    """variant 'co_Z': pullback CO32 -> CO21; 'full_Z2': C32_Z2 -> C21_Z2.
+
+    Both maps are maps by names, the identity in degrees 0 and 1; both
+    variants share the one chain map V21 -> V32."""
     ids = {"co_Z": (CatalogId.CO32, CatalogId.CO21),
            "full_Z2": (CatalogId.C32_Z2, CatalogId.C21_Z2)}.get(variant)
     if ids is None:
         raise ValueError(f"unknown suspension variant {variant!r}")
     v32 = catalog(CatalogId.V32)
-    return SuspensionMaps(_identity_map(_truncated(v32), v32, "chain map"),
-                          _identity_map(*map(catalog, ids), "pullback"))
+    return SuspensionMaps(_name_map(_truncated(v32), v32),
+                          _name_map(*map(catalog, ids)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,23 +302,18 @@ def free_approximation(v: MixedComplex):
     """The all-free resolution of the mixed closed catalog.
 
     Returns (f, lam) where f adds the generator A with boundary twice
-    I2_o, and lam collapses A and reduces torsion coordinates.  Only the
-    specific mixed catalog is supported.
+    I2_o, and lam is the map by names f -> v: it collapses A and reduces
+    torsion coordinates.  A map by names is onto exactly when every target
+    name occurs in the source.  Only the specific mixed catalog is
+    supported.
     """
     if v != catalog(CatalogId.V32):
         raise ComplexError("free approximation is defined for the V32 "
                            "catalog only")
     f = catalog(CatalogId.F32)
-    # each generator of f goes to the one of v with its name, A to zero
-    lam = ChainMap(f, v, tuple(
-        IntMatrix.from_rows([[int(g.name == h.name) for g in f.generators[d]]
-                             for h in v.generators[d]], f.n(d))
-        for d in range(3)))
-    bad = validate_chain_map(lam)
-    if bad:
-        raise ComplexError(f"collapse map fails: {bad[0]}")
+    lam = _name_map(f, v)
     for d in range(3):
-        if not is_surjective_on_degree(lam, d):
+        if not set(v.names(d)) <= set(f.names(d)):
             raise ComplexError(f"collapse map not surjective at degree {d}")
     for d in (0, 1):
         if not induced_is_isomorphism(lam, d):
@@ -325,25 +327,15 @@ Hypercohomology = namedtuple("Hypercohomology",
                              "group comparison comparison_is_isomorphism")
 
 
-@functools.lru_cache(maxsize=None)
-def _dual_collapse(v: MixedComplex, g: RingTag) -> ChainMap:
-    """The collapse map of ``free_approximation(v)`` dualized over g, from
-    ``hom_dual(v, g)`` to the dual of the free approximation; built and
-    checked once per ring."""
-    f, lam = free_approximation(v)
-    dual_lam = ChainMap(hom_dual(v, g), hom_dual(f, g), tuple(
-        _dual_matrix(m, v.generators[d], f.generators[d], g)
-        for d, m in enumerate(lam.matrices)))
-    bad = validate_chain_map(dual_lam)
-    if bad:
-        raise ComplexError(f"dualized collapse map fails: {bad[0]}")
-    return dual_lam
-
-
 def hypercohomology(v: MixedComplex, g: RingTag, deg: int) -> Hypercohomology:
     """Cohomology of the dualized free approximation, with the
-    comparison map from the cohomology of the dualized mixed complex."""
-    dual_lam = _dual_collapse(v, g)
+    comparison map from the cohomology of the dualized mixed complex.
+
+    The dualized collapse map Hom(lam, g) is the map by names from
+    ``hom_dual(v, g)`` to ``hom_dual(f, g)``: lam is 1 exactly where
+    names agree, and hom_dual keeps the names."""
+    f, _ = free_approximation(v)
+    dual_lam = _name_map(hom_dual(v, g), hom_dual(f, g))
     return Hypercohomology(homology(dual_lam.target, deg),
                            induced_map(dual_lam, deg),
                            induced_is_isomorphism(dual_lam, deg))

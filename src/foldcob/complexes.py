@@ -435,12 +435,6 @@ def induced_map(f: ChainMap, deg: int) -> IntMatrix:
     return from_columns(cols, homology(f.target, deg).rank)
 
 
-def is_surjective_on_degree(f: ChainMap, deg: int) -> bool:
-    """Surjectivity of f in degree deg onto the target chain group."""
-    m = f.matrices[deg].hstack(f.target.relations(deg))
-    return cokernel_is_trivial(m)
-
-
 def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
     """True iff the induced map on degree-deg homology is bijective.
 
@@ -461,31 +455,24 @@ def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
     return cokernel_is_trivial(m)
 
 
-def _kept(gens, g: RingTag):
-    """Indices of the generators that survive in Hom(-, g); see hom_dual."""
-    return [i for i, gen in enumerate(gens)
-            if g is RingTag.TWO_TORSION or gen.ring is RingTag.FREE]
-
-
-def _dual_matrix(m: IntMatrix, tgt_gens, src_gens, g: RingTag) -> IntMatrix:
-    """Hom(m, g) for m from src_gens to tgt_gens, in the generators of
-    hom_dual: the transpose on the kept generators, mod 2 over Z2."""
-    dual = m.submatrix(_kept(tgt_gens, g), _kept(src_gens, g)).transpose()
-    return dual.mod2() if g is RingTag.TWO_TORSION else dual
-
-
 def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
     """The cochain complex Hom(cx, Z) or Hom(cx, Z2).
 
     Hom(Z2, Z) = 0, so two-torsion generators disappear over Z; over Z2
-    every generator survives with Z2 coefficients.
+    every generator survives with Z2 coefficients.  Each differential
+    becomes its transpose on the kept generators, mod 2 over Z2.
     """
     if cx.direction is not Direction.HOMOLOGICAL:
         raise ComplexError("hom_dual expects a homological complex")
-    gens = tuple(tuple(Generator(degree[i].name, g) for i in _kept(degree, g))
-                 for degree in cx.generators)
-    mats = tuple(_dual_matrix(m, cx.generators[tgt], cx.generators[src], g)
+    kept = [[i for i, gen in enumerate(degree)
+             if g is RingTag.TWO_TORSION or gen.ring is RingTag.FREE]
+            for degree in cx.generators]
+    gens = tuple(tuple(Generator(degree[i].name, g) for i in keep)
+                 for degree, keep in zip(cx.generators, kept))
+    mats = tuple(m.submatrix(kept[tgt], kept[src]).transpose()
                  for m, src, tgt in cx._diffs())
+    if g is RingTag.TWO_TORSION:
+        mats = tuple(m.mod2() for m in mats)
     return MixedComplex(Direction.COHOMOLOGICAL, gens, mats)
 
 

@@ -13,8 +13,8 @@ from enum import Enum
 from functools import cached_property
 
 from .choices import CUSP_C1, CUSP_C2
-from .reeb import (ReebGraph, _evaluate, _json_list, _parse_enum, _signed,
-                   _tally, _valid_sweep)
+from .reeb import (ReebGraph, _evaluate, _item_error, _json_list,
+                   _parse_enum, _signed, _tally, _valid_sweep)
 
 
 class BoundaryMode(Enum):
@@ -266,16 +266,15 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
             for k, cell in enumerate(listed):
                 # a string would pass "arc" in cell as a substring test
                 if type(cell) is not dict:
-                    raise ValueError(f"cell {k} must be an object, not "
+                    raise ValueError("must be an object, not "
                                      f"{type(cell).__name__}")
                 if ("arc" in cell) == ("event" in cell):
-                    raise ValueError(f"cell {k} needs exactly one of arc, "
-                                     "event")
+                    raise ValueError("needs exactly one of arc, event")
                 if "arc" in cell:
                     arc = cell["arc"]
                     if type(arc) is not dict:
-                        raise ValueError(f"cell {k} arc must be an object, "
-                                         f"not {type(arc).__name__}")
+                        raise ValueError("arc must be an object, not "
+                                         f"{type(arc).__name__}")
                     circles = arc["circles"]
                     if type(circles) is not int:
                         circles = _json_int(circles, "circles")
@@ -286,8 +285,8 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                 else:
                     event = cell["event"]
                     if type(event) is not dict:
-                        raise ValueError(f"cell {k} event must be an object, "
-                                         f"not {type(event).__name__}")
+                        raise ValueError("event must be an object, not "
+                                         f"{type(event).__name__}")
                     cls = event["class"]
                     if not isinstance(cls, str):
                         raise ValueError("event class must be a string, not "
@@ -296,8 +295,8 @@ def diagram_from_json(doc) -> CircleFiberDiagram:
                     if type(n) is not int:
                         n = _json_int(n, "components")
                     cells.append(events[cls, n])
-        except KeyError as exc:
-            raise ValueError(f"cell {k}: missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _item_error("cell", k, exc) from exc
     except KeyError as exc:
         raise DiagramError("malformed diagram document: missing field "
                            f"{exc}") from exc

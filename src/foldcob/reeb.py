@@ -511,7 +511,7 @@ def graph_from_json(doc) -> ReebGraph:
                 try:
                     i = v["id"]
                 except TypeError:
-                    raise ValueError(f"vertex {n} must be an object, not "
+                    raise ValueError("must be an object, not "
                                      f"{type(v).__name__}") from None
                 if type(i) is not int and type(i) is not str:
                     i = _parse_id(i)
@@ -520,20 +520,24 @@ def graph_from_json(doc) -> ReebGraph:
                 kind = _KIND.get(raw) if type(raw) is str else None
                 vertices.append(Vertex(i, value, kind or _parse_enum(
                     VertexKind, raw, "kind")))
-        except KeyError as exc:
-            raise ValueError(f"vertex {n}: missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _item_error("vertex", n, exc) from exc
         edges = []
-        for n, e in enumerate(_json_list(doc, "edges")):
-            # only a list: a string or an object would unpack too
-            if type(e) is not list or len(e) != 2:
-                raise ValueError(f"edge {n} must be a pair of vertex ids, "
-                                 "a list of two")
-            a, b = e
-            if type(a) is not int and type(a) is not str:
-                a = _parse_id(a)
-            if type(b) is not int and type(b) is not str:
-                b = _parse_id(b)
-            edges.append((a, b))
+        listed = _json_list(doc, "edges")
+        try:
+            for n, e in enumerate(listed):
+                # only a list: a string or an object would unpack too
+                if type(e) is not list or len(e) != 2:
+                    raise ValueError("must be a pair of vertex ids, a list "
+                                     "of two")
+                a, b = e
+                if type(a) is not int and type(a) is not str:
+                    a = _parse_id(a)
+                if type(b) is not int and type(b) is not str:
+                    b = _parse_id(b)
+                edges.append((a, b))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _item_error("edge", n, exc) from exc
     except KeyError as exc:
         raise ReebError(f"malformed graph document: missing field {exc}") \
             from exc
@@ -550,6 +554,14 @@ def _json_list(doc: dict, field: str) -> list:
     if type(x) is not list:
         raise ValueError(f"{field} must be a list, not {type(x).__name__}")
     return x
+
+
+def _item_error(item: str, n: int, exc: Exception) -> ValueError:
+    """exc, raised while reading item n of a document's list, as an error
+    that names the item: "vertex 3: missing field 'kind'"."""
+    if isinstance(exc, KeyError):
+        return ValueError(f"{item} {n}: missing field {exc}")
+    return ValueError(f"{item} {n}: {exc}")
 
 
 def _parse_enum(cls, x, field):

@@ -1,11 +1,12 @@
 import pytest
 
-from foldcob.catalog import (CatalogId, catalog, counting_identities,
-                             cusp_cocycle_check, fiber_classes,
-                             free_approximation, hypercohomology,
-                             suspension_map)
-from foldcob.complexes import (ComplexError, Direction, RingTag, homology,
-                               validate_complex)
+from foldcob.catalog import (CatalogId, _name_map, catalog,
+                             counting_identities, cusp_cocycle_check,
+                             fiber_classes, free_approximation,
+                             hypercohomology, suspension_map)
+from foldcob.complexes import (ComplexError, Direction, RingTag, hom_dual,
+                               homology, validate_complex)
+from foldcob.intmat import IntMatrix, cokernel_is_trivial
 
 
 def ring_counts(cx, deg):
@@ -139,10 +140,18 @@ def test_fiber_classes_metadata():
     bclasses = {fc.name for fc in fiber_classes(CatalogId.BCUSP32)
                 if fc.cusp_class}
     assert bclasses == {"IIa", "IIg"}
+    assert all(fc.coorientable for fc in fiber_classes(CatalogId.BCUSP32))
 
 
 def test_suspension_variants_share_the_chain_map():
     assert suspension_map("co_Z").chain is suspension_map("full_Z2").chain
+
+
+@pytest.mark.parametrize("variant", ["co_Z", "full_Z2"])
+def test_suspension_maps_are_identities_in_degrees_0_and_1(variant):
+    for f in suspension_map(variant):
+        assert f.matrices == tuple(IntMatrix.identity(f.target.n(d))
+                                   for d in (0, 1))
 
 
 def test_suspension_rejects_unknown_variant():
@@ -180,3 +189,38 @@ def test_hyper_groups_over_z():
     h1 = hypercohomology(v32, RingTag.FREE, 1)
     assert (h1.group.free_rank, h1.group.torsion) == (2, ())
     assert h0.comparison_is_isomorphism and h1.comparison_is_isomorphism
+
+
+@pytest.mark.parametrize("g", list(RingTag))
+def test_dual_collapse_is_the_transposed_collapse(g):
+    # Hom(lam, g): the transpose of lam on the generators hom_dual keeps,
+    # mod 2 over Z2, is the map by names between the duals
+    v32 = catalog(CatalogId.V32)
+    f32, lam = free_approximation(v32)
+    dual = _name_map(hom_dual(v32, g), hom_dual(f32, g))
+
+    def kept(cx, d):
+        return [i for i, gen in enumerate(cx.generators[d])
+                if g is RingTag.TWO_TORSION or gen.ring is RingTag.FREE]
+
+    for d, m in enumerate(lam.matrices):
+        t = m.submatrix(kept(v32, d), kept(f32, d)).transpose()
+        assert dual.matrices[d] == (t.mod2() if g is RingTag.TWO_TORSION
+                                    else t)
+
+
+def test_collapse_is_onto_exactly_where_every_name_occurs():
+    # the Smith-reduced cokernel of [f_d | relations] is the oracle of the
+    # name test; the dualized collapse over Z misses the torsion names, so
+    # it is onto in degree 0 only
+    v32 = catalog(CatalogId.V32)
+    f32, lam = free_approximation(v32)
+    dual = _name_map(hom_dual(v32, RingTag.FREE), hom_dual(f32, RingTag.FREE))
+    onto = []
+    for f in (lam, dual):
+        for d, m in enumerate(f.matrices):
+            by_names = set(f.target.names(d)) <= set(f.source.names(d))
+            assert by_names == cokernel_is_trivial(
+                m.hstack(f.target.relations(d)))
+            onto.append(by_names)
+    assert onto == [True, True, True, True, False, False]

@@ -490,13 +490,13 @@ _HUGE_VALUE = json.dumps(graph_to_json(projective_plane_graph())).replace(
     (_rp2_text_with(lambda d: d.update(
         vertices=[[v["id"], v["value"], v["kind"]] for v in d["vertices"]])),
      ["invariants", "--category", "unoriented"],
-     "vertex 0 must be an object, not list", "indices"),
+     "vertex 0: must be an object, not list", "indices"),
     (_rp2_text_with(lambda d: d.update(edges=[0, 1])),
      ["invariants", "--category", "unoriented"],
-     "edge 0 must be a pair of vertex ids", "unpack"),
+     "edge 0: must be a pair of vertex ids", "unpack"),
     (_rp2_text_with(lambda d: d["edges"].append([0, 1, 2])),
      ["invariants", "--category", "unoriented"],
-     "edge 2 must be a pair of vertex ids", "unpack"),
+     "edge 2: must be a pair of vertex ids", "unpack"),
     (json.dumps({k: v for k, v in _diagram_with().items() if k != "mode"}),
      ["cusp"], "missing field 'mode'", "document: 'mode'"),
     (_HUGE_VALUE, ["invariants", "--category", "unoriented"],
@@ -514,9 +514,38 @@ _HUGE_VALUE = json.dumps(graph_to_json(projective_plane_graph())).replace(
     (json.dumps({"mode": "CLOSED", "cells": [{"arc": {"circles": 0}},
                                               {"event": {"class": "I0"}}]}),
      ["cusp"], "cell 1: missing field 'components'", "document: missing"),
+    (_rp2_text_with(lambda d: d["vertices"][1].update(value="1/0")),
+     ["invariants", "--category", "unoriented"],
+     "vertex 1: rational value with zero denominator", "document: rational"),
+    (_rp2_text_with(lambda d: d["vertices"][2].update(value=2.5)),
+     ["invariants", "--category", "unoriented"],
+     "vertex 2: bad rational value of type float", "document: bad"),
+    (_rp2_text_with(lambda d: d["vertices"][1].update(value="1e99999")),
+     ["invariants", "--category", "unoriented"],
+     "vertex 1: rational value exponent beyond +-1000", "document: rational"),
+    (_rp2_text_with(lambda d: d["vertices"][2].update(kind="TOP")),
+     ["invariants", "--category", "unoriented"],
+     "vertex 2: kind must be one of MIN, MAX, SADDLE, DEG2", "document: kind"),
+    (_rp2_text_with(lambda d: d["vertices"][1].update(id=1.0)),
+     ["invariants", "--category", "unoriented"],
+     "vertex 1: vertex id must be an integer or a string, not float",
+     "document: vertex id"),
+    (_rp2_text_with(lambda d: d.update(edges=[[0, 1], [1.0, 2]])),
+     ["invariants", "--category", "unoriented"],
+     "edge 1: vertex id must be an integer or a string, not float",
+     "document: vertex id"),
+    (json.dumps(_diagram_with(arc={"circles": "0"})), ["cusp"],
+     "cell 0: circles must be an integer, not str", "document: circles"),
+    (json.dumps(_diagram_with(event={"class": 1})), ["cusp"],
+     "cell 1: event class must be a string, not int", "document: event"),
+    (json.dumps(_diagram_with(event={"components": True})), ["cusp"],
+     "cell 1: components must be an integer, not bool",
+     "document: components"),
 ], ids=["vertex-list", "bare-int-edges", "edge-triple", "no-mode",
         "5000-digit-int", "duplicate-id", "tied-values", "vertex-field",
-        "cell-field"])
+        "cell-field", "zero-denominator", "float-value", "value-exponent",
+        "vertex-kind", "vertex-id", "edge-end", "cell-circles", "event-class",
+        "cell-components"])
 def test_input_error_names_the_field(tmp_path, text, argv, needle, leak):
     path = tmp_path / "doc.json"
     path.write_text(text)
@@ -537,7 +566,7 @@ def _two_vertex_doc(edge):
 def test_edge_must_be_a_list_of_two(tmp_path, edge):
     line = cli_input_error(tmp_path, _two_vertex_doc(edge), "invariants",
                            "--category", "oriented")
-    assert "edge 0 must be a pair of vertex ids, a list of two" in line
+    assert "edge 0: must be a pair of vertex ids, a list of two" in line
 
 
 # each used to leak "'int' object is not iterable" or "argument of type
@@ -551,19 +580,19 @@ def test_edge_must_be_a_list_of_two(tmp_path, edge):
      "edges must be a list, not dict"),
     ({**_diagram_with(), "cells": 3}, ["cusp"], "cells must be a list, not int"),
     ({**_diagram_with(), "cells": [{"arc": {"circles": 0}}, 5]}, ["cusp"],
-     "cell 1 must be an object, not int"),
+     "cell 1: must be an object, not int"),
     ({**_diagram_with(), "cells": ["arc"]}, ["cusp"],
-     "cell 0 must be an object, not str"),
+     "cell 0: must be an object, not str"),
     ({**_diagram_with(), "cells": [{"arc": 0}]}, ["cusp"],
-     "cell 0 arc must be an object, not int"),
+     "cell 0: arc must be an object, not int"),
     ({**_diagram_with(), "cells": [{"arc": {"circles": 0}}, {"event": [1]}]},
-     ["cusp"], "cell 1 event must be an object, not list"),
+     ["cusp"], "cell 1: event must be an object, not list"),
     # a cell with both used to be read as its arc, the event dropped
     ({"mode": "CLOSED", "cells": [{
         "arc": {"circles": 0}, "event": {"class": "I0", "components": 1}}]},
-     ["cusp"], "cell 0 needs exactly one of arc, event"),
+     ["cusp"], "cell 0: needs exactly one of arc, event"),
     ({**_diagram_with(), "cells": [{"arcs": {"circles": 0}}]}, ["cusp"],
-     "cell 0 needs exactly one of arc, event"),
+     "cell 0: needs exactly one of arc, event"),
 ], ids=["vertices", "edges", "cells", "int-cell", "str-cell", "int-arc",
         "list-event", "arc-and-event", "neither"])
 def test_non_container_names_the_field(tmp_path, doc, argv, needle):

@@ -13,8 +13,8 @@ import pytest
 
 import foldcob
 from foldcob import complexes, diagrams, reeb, selftest
-from foldcob.catalog import (CatalogId, _dual_collapse, _identity_map,
-                             catalog, free_approximation, hypercohomology,
+from foldcob.catalog import (CatalogId, _name_map, catalog,
+                             free_approximation, hypercohomology,
                              suspension_map)
 from foldcob.cli import main
 from foldcob.complexes import (ChainMap, ComplexError, Direction, RingTag,
@@ -210,7 +210,7 @@ def test_identities_fire_under_python_O():
 
 def test_six_hyper_results_check_each_chain_map_once(map_checks):
     free_approximation.cache_clear()
-    _dual_collapse.cache_clear()
+    _name_map.cache_clear()
     v32 = catalog(CatalogId.V32)
     for coeff in RingTag:
         for deg in range(3):
@@ -223,7 +223,7 @@ def test_six_hyper_results_check_each_chain_map_once(map_checks):
 @pytest.mark.parametrize("variant", ["co_Z", "full_Z2"])
 def test_suspension_map_checks_each_of_its_maps_once(map_checks, variant):
     suspension_map.cache_clear()
-    _identity_map.cache_clear()
+    _name_map.cache_clear()
     maps = suspension_map(variant)
     for _ in range(2):
         assert suspension_map(variant) is maps
@@ -244,13 +244,15 @@ def test_co32_and_its_aliases_are_checked_once(complex_checks):
 
 def test_selftest_checks_each_catalog_object_once(monkeypatch):
     checked = []
-    validate = selftest.validate_complex
+    module = importlib.import_module("foldcob.catalog")
+    validate = module.validate_complex
 
     def counted(cx):
         checked.append(cx)
         return validate(cx)
 
-    monkeypatch.setattr(selftest, "validate_complex", counted)
+    monkeypatch.setattr(module, "validate_complex", counted)
+    catalog.cache_clear()
     selftest.check_catalog_validity()
     # 12 ids, of which CO32_ORI, SCO32 and SCO32_ORI return the CO32 object
     assert len(checked) == 9
