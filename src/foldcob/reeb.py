@@ -303,38 +303,29 @@ def euler_characteristic(g: ReebGraph) -> int:
     return kinds[_MIN] + kinds[_MAX] - kinds[_SADDLE] - kinds[_DEG2]
 
 
+# the normal form's piece for z > 0 and for z < 0: its four kinds in
+# value order and its three edges between those positions
+_PIECE = {True: (("MIN", "SADDLE", "MAX", "MAX"), ((0, 1), (1, 2), (1, 3))),
+          False: (("MIN", "MIN", "SADDLE", "MAX"), ((0, 2), (1, 2), (2, 3)))}
+
+
 def canonical_graph(z: int, w: int, category: Category) -> ReebGraph:
-    """The normal-form graph with the given invariants."""
+    """The normal-form graph with the given invariants: |z| copies of the
+    piece of z's sign, then for w = 1 one projective-plane level.  Each
+    vertex's id is its value."""
     if w not in (0, 1):
         raise ValueError(f"w must be 0 or 1, not {w!r}")
     if w and category.oriented:
         raise CategoryError("an oriented category has no w = 1 graph")
-    vertices = []
-    edges = []
-    nid = 0
-    for i in range(abs(z)):
-        base = 4 * i
-        if z > 0:
-            kinds = [("MIN", 0), ("SADDLE", 1), ("MAX", 2), ("MAX", 3)]
-        else:
-            kinds = [("MIN", 0), ("MIN", 1), ("SADDLE", 2), ("MAX", 3)]
-        piece = []
-        for kind, off in kinds:
-            vertices.append((nid, base + off, kind))
-            piece.append(nid)
-            nid += 1
-        if z > 0:
-            edges += [(piece[0], piece[1]), (piece[1], piece[2]),
-                      (piece[1], piece[3])]
-        else:
-            edges += [(piece[0], piece[2]), (piece[1], piece[2]),
-                      (piece[2], piece[3])]
+    piece, joins = _PIECE[z > 0]
+    n = 4 * abs(z)
+    kinds = piece * abs(z)
+    edges = [(k + a, k + b) for k in range(0, n, 4) for a, b in joins]
     if w:
-        base = 4 * abs(z)
-        vertices += [(nid, base, "MIN"), (nid + 1, base + 1, "DEG2"),
-                     (nid + 2, base + 2, "MAX")]
-        edges += [(nid, nid + 1), (nid + 1, nid + 2)]
-    return make_graph(category.oriented, vertices, edges)
+        kinds += ("MIN", "DEG2", "MAX")
+        edges += [(n, n + 1), (n + 1, n + 2)]
+    return make_graph(category.oriented,
+                      [(i, i, kind) for i, kind in enumerate(kinds)], edges)
 
 
 # trace holds one (move, times) pair per move applied
@@ -354,15 +345,9 @@ def reduce_to_normal_form(g: ReebGraph, category: Category) -> ReductionResult:
     pieces = decompose(g)
     pairs = min(pieces.n2, pieces.n3)
     rp2 = pieces.n4 // 2
-    spheres = pieces.n1 + pairs + rp2
-    trace = []
-    if pairs:
-        trace.append(("CANCEL_PAIR", pairs))
-    if rp2:
-        trace.append(("CANCEL_RP2", rp2))
-    if spheres:
-        trace.append(("DELETE_SPHERE", spheres))
-    return ReductionResult(inv, tuple(trace),
+    moves = (("CANCEL_PAIR", pairs), ("CANCEL_RP2", rp2),
+             ("DELETE_SPHERE", pieces.n1 + pairs + rp2))
+    return ReductionResult(inv, tuple(m for m in moves if m[1]),
                            canonical_graph(inv.z, inv.w, category))
 
 
@@ -401,26 +386,29 @@ def negate(g: ReebGraph) -> ReebGraph:
     return ReebGraph(g.orientable, vertices, g.edges)
 
 
+# the moves that close one open circle at a new vertex: the vertex's kind
+# and the number of circles it opens above
+_CLOSE_ONE = {"MAX": ("MAX", 0), "DEG2": ("DEG2", 1),
+              "SADDLE_UP": ("SADDLE", 2)}
+
+
 def random_reeb(seed: int, size: int, orientable: bool) -> ReebGraph:
     """Deterministic random valid graph built by an upward sweep.
 
     Maintains the set of circles of the current regular level; each step
     opens, splits, merges, caps, or (nonorientable case) twists one of
-    them, and the sweep ends by capping every open circle.
+    them, and the sweep ends by capping every open circle.  Each vertex's
+    id is its value.
     """
     rng = random.Random(seed)
     vertices = []
     edges = []
     open_circles = []     # vertex id whose upward edge is still open
-    nid = 0
-    t = 0
 
     def add(kind):
-        nonlocal nid, t
-        vertices.append((nid, Fraction(t), kind))
-        nid += 1
-        t += 1
-        return nid - 1
+        v = len(vertices)
+        vertices.append((v, v, kind))
+        return v
 
     for _ in range(size):
         choices = ["MIN"]
@@ -430,34 +418,23 @@ def random_reeb(seed: int, size: int, orientable: bool) -> ReebGraph:
                 choices.append("DEG2")
         if len(open_circles) >= 2:
             choices.append("SADDLE_DOWN")
-        kind = rng.choice(choices)
-        if kind == "MIN":
+        move = rng.choice(choices)
+        if move == "MIN":
             open_circles.append(add("MIN"))
-        elif kind == "MAX":
-            below = open_circles.pop(rng.randrange(len(open_circles)))
-            edges.append((below, add("MAX")))
-        elif kind == "DEG2":
-            below = open_circles.pop(rng.randrange(len(open_circles)))
-            v = add("DEG2")
-            edges.append((below, v))
-            open_circles.append(v)
-        elif kind == "SADDLE_UP":
-            below = open_circles.pop(rng.randrange(len(open_circles)))
+        elif move == "SADDLE_DOWN":
+            a = open_circles.pop(rng.randrange(len(open_circles)))
+            b = open_circles.pop(rng.randrange(len(open_circles)))
             v = add("SADDLE")
-            edges.append((below, v))
-            open_circles += [v, v]
+            edges += [(a, v), (b, v)]
+            open_circles.append(v)
         else:
-            i = rng.randrange(len(open_circles))
-            a = open_circles.pop(i)
-            j = rng.randrange(len(open_circles))
-            b = open_circles.pop(j)
-            v = add("SADDLE")
-            edges.append((a, v))
-            edges.append((b, v))
-            open_circles.append(v)
+            kind, opened = _CLOSE_ONE[move]
+            below = open_circles.pop(rng.randrange(len(open_circles)))
+            v = add(kind)
+            edges.append((below, v))
+            open_circles += [v] * opened
     while open_circles:
-        below = open_circles.pop()
-        edges.append((below, add("MAX")))
+        edges.append((open_circles.pop(), add("MAX")))
     g = make_graph(orientable, vertices, edges)
     _valid_sweep(g)
     return g
@@ -612,18 +589,21 @@ def _parse_frac(s) -> Fraction:
             raise ValueError(f"rational value longer than {_MAX_VALUE_CHARS} "
                              "characters")
         ratio = _INT_RATIO.fullmatch(s)
-        if ratio is None:
-            exp = _EXPONENT.search(s)
-            if exp and abs(int(exp.group(1))) > _MAX_VALUE_EXPONENT:
-                raise ValueError("rational value exponent beyond "
-                                 f"+-{_MAX_VALUE_EXPONENT}")
         try:
-            if ratio is None:
+            if ratio is not None:
+                p, q = ratio.groups()
+                return (Fraction(int(p)) if q is None
+                        else Fraction(int(p), int(q)))
+            exp = _EXPONENT.search(s)
+            if not exp or abs(int(exp.group(1))) <= _MAX_VALUE_EXPONENT:
                 return Fraction(s)
-            p, q = ratio.groups()
-            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except ZeroDivisionError:
             raise ValueError("rational value with zero denominator") from None
+        except ValueError:
+            # int() and Fraction() would echo the whole string
+            raise ValueError(f"bad rational value {_show_id(s)!r}") from None
+        raise ValueError("rational value exponent beyond "
+                         f"+-{_MAX_VALUE_EXPONENT}")
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"bad rational value of type {type(s).__name__}")

@@ -541,17 +541,27 @@ _HUGE_VALUE = json.dumps(graph_to_json(projective_plane_graph())).replace(
     (json.dumps(_diagram_with(event={"components": True})), ["cusp"],
      "cell 1: components must be an integer, not bool",
      "document: components"),
+    # these echoed the whole value or an int() or Fraction() message
+    (_rp2_text_with(lambda d: d["vertices"][0].update(value="x" * 999)),
+     ["invariants", "--category", "unoriented"],
+     "vertex 0: bad rational value '" + "x" * 40 + "...'", "Fraction:"),
+    (_rp2_text_with(lambda d: d["vertices"][0].update(value="1e1__1")),
+     ["invariants", "--category", "unoriented"],
+     "vertex 0: bad rational value '1e1__1'", "int()"),
 ], ids=["vertex-list", "bare-int-edges", "edge-triple", "no-mode",
         "5000-digit-int", "duplicate-id", "tied-values", "vertex-field",
         "cell-field", "zero-denominator", "float-value", "value-exponent",
         "vertex-kind", "vertex-id", "edge-end", "cell-circles", "event-class",
-        "cell-components"])
+        "cell-components", "999-char-value", "value-exponent-underscores"])
 def test_input_error_names_the_field(tmp_path, text, argv, needle, leak):
     path = tmp_path / "doc.json"
     path.write_text(text)
     line = cli_file_error(path, *argv)
     assert needle in line
     assert leak not in line
+    # no case echoes its input at length or a Python parser's message
+    assert len(line.encode()) < 200
+    assert "int()" not in line and "Fraction:" not in line
 
 
 def _two_vertex_doc(edge):

@@ -20,17 +20,25 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 def _reference_parse_frac(s) -> Fraction:
     """Every value through the bounded Fraction(str) parser, as before the
-    integer and "p/q" strings were read with int()."""
+    integer and "p/q" strings were read with int().  A string that int()
+    or Fraction() refuses is named by its first 40 characters."""
     if isinstance(s, str):
         if len(s) > 1000:
             raise ValueError("rational value longer than 1000 characters")
-        exp = _EXPONENT.search(s)
-        if exp and abs(int(exp.group(1))) > 1000:
-            raise ValueError("rational value exponent beyond +-1000")
         try:
-            return Fraction(s)
+            exp = _EXPONENT.search(s)
+            if exp and abs(int(exp.group(1))) > 1000:
+                value = None
+            else:
+                value = Fraction(s)
         except ZeroDivisionError:
             raise ValueError("rational value with zero denominator") from None
+        except ValueError:
+            shown = s if len(s) <= 40 else s[:40] + "..."
+            raise ValueError(f"bad rational value {shown!r}") from None
+        if value is None:
+            raise ValueError("rational value exponent beyond +-1000")
+        return value
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"bad rational value of type {type(s).__name__}")
@@ -63,6 +71,8 @@ _ALPHABET = "0123456789-+/.eE_ ٣²"
 @example("²")
 @example("1e1001")
 @example("1e_")
+@example("1e1__1")
+@example("x" * 999)
 @example("9" * 1000)
 @example("9" * 1001)
 @example("-" + "9" * 999)
