@@ -9,6 +9,12 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   largest bit length of an entry of u, v, u^-1 or v^-1;
 - ``homology`` in every degree of a ~200-cell torus, Klein bottle, RP2 and
   genus-2 complex and of each one's Z2 dual, bypassing the cache;
+- for each of those SNFs and homologies, in one more untimed call, the
+  elementary operations of its Smith reductions (``ops``: row_add,
+  row_swap, row_neg, col_adds and col_swap calls, and ``axpy_nonzeros``,
+  the nonzeros that sparse a += q*b reads); two checkouts that run the
+  same elimination give the same counts, and ``same_ops`` in the output
+  says whether all labels do;
 - ``express_class`` on one reused Klein-bottle presentation;
 - ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
   ``from_reeb`` and ``diagram_from_json`` on nonorientable
@@ -75,6 +81,38 @@ def _bits(*matrices):
                 for x in row), default=0)
 
 
+OPS = ("row_add", "row_swap", "row_neg", "col_adds", "col_swap")
+
+
+def _count_ops(fn):
+    """The elementary operations of the Smith reductions that one call of
+    fn runs, counted by a subclass of the workspace ``intmat._Work`` and a
+    wrapper of ``intmat._axpy`` put in for the call."""
+    from foldcob import intmat
+
+    counts = dict.fromkeys(OPS + ("axpy_nonzeros",), 0)
+    work, axpy = intmat._Work, intmat._axpy
+
+    def counted(name):
+        def op(self, *args):
+            counts[name] += 1
+            return getattr(work, name)(self, *args)
+        return op
+
+    def counting_axpy(a, b, q):
+        counts["axpy_nonzeros"] += len(b)
+        axpy(a, b, q)
+
+    intmat._Work = type("CountingWork", (work,),
+                        {name: counted(name) for name in OPS})
+    intmat._axpy = counting_axpy
+    try:
+        fn()
+    finally:
+        intmat._Work, intmat._axpy = work, axpy
+    return counts
+
+
 def bench_matrices(gen, rng):
     from foldcob.intmat import IntMatrix, snf_with_inverses
 
@@ -88,7 +126,8 @@ def bench_matrices(gen, rng):
             u, _, v, uinv, vinv = snf_with_inverses(m)
             out.append({"family": family, "rows": m.rows, "cols": m.cols,
                         "mul_s": mul_s, "snf_s": snf_s,
-                        "max_bits": _bits(u, v, uinv, vinv)})
+                        "max_bits": _bits(u, v, uinv, vinv),
+                        "ops": _count_ops(lambda: snf_with_inverses(m))})
     return out
 
 
@@ -110,8 +149,10 @@ def bench_homology(gen, rng):
         cx = _complex(case)
         dual = hom_dual(cx, RingTag.TWO_TORSION)
         row = {"kind": kind, "cells": list(case.cells)}
-        for name, c in (("homology_s", cx), ("homology_z2dual_s", dual)):
-            row[name] = _timed(lambda: [compute(c, deg) for deg in range(3)])
+        for name, c in (("homology", cx), ("homology_z2dual", dual)):
+            run = lambda: [compute(c, deg) for deg in range(3)]
+            row[name + "_s"] = _timed(run)
+            row[name + "_ops"] = _count_ops(run)
         out.append(row)
     return out
 
@@ -221,6 +262,13 @@ def sample(src):
             "cli": bench_cli(gen, random.Random(SEED), src)}
 
 
+def _ops(run):
+    """Every operation count of a run, in order."""
+    return ([row.get("ops") for row in run.get("matrices", [])]
+            + [[row.get("homology_ops"), row.get("homology_z2dual_ops")]
+               for row in run.get("homology", [])])
+
+
 def _merge(samples):
     """One result from samples of the same shape: each timing ``X_s``
     becomes the median ``X_s`` and the least ``X_min_s``; anything else is
@@ -284,8 +332,13 @@ def main(argv=None):
                "seed": SEED, "repeat": REPEAT, "interleaved": labels,
                **_merge(samples[label])}
         doc.setdefault("runs", {})[label] = run
+    doc["same_ops"] = len({json.dumps(_ops(run))
+                           for run in doc["runs"].values()}) == 1
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps(doc["runs"], indent=1))
+    if not doc["same_ops"]:
+        print("warning: the labels ran different Smith operations",
+              file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ import functools
 from collections import namedtuple
 from enum import Enum
 
-from .intmat import (IntMatrix, _axpy, _dense, _smith, cokernel_is_trivial,
-                     from_columns)
+from .intmat import (IntMatrix, _axpy, _dense, _smith, _sparse_rows,
+                     cokernel_is_trivial, from_columns)
 
 
 class RingTag(Enum):
@@ -91,15 +91,6 @@ class MixedComplex(namedtuple("MixedComplex",
     def torsion_indices(self, deg: int):
         return [i for i, g in enumerate(self.generators[deg])
                 if g.ring is RingTag.TWO_TORSION]
-
-    def relations(self, deg: int) -> IntMatrix:
-        """Columns 2e for each TWO_TORSION generator of the degree."""
-        cols = []
-        for i in self.torsion_indices(deg):
-            col = [0] * self.n(deg)
-            col[i] = 2
-            cols.append(col)
-        return from_columns(cols, self.n(deg))
 
     def out_diff(self, deg: int):
         """(matrix, target degree) for the differential leaving deg, or None."""
@@ -271,6 +262,9 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     v and v^-1, whose kernel columns of v are the cycle lattice and whose
     matching rows of v^-1 give the coordinates of any cycle in it, and one
     of the boundaries in those coordinates, tracking only u and u^-1.
+    Both inputs are built as sparse rows: the nonzeros of d_out with a 2
+    in each relation slot of ``_out_slots``, and the lifted boundaries
+    in cycle coordinates.
     Column i of u^-1 gives basis cycle i, and row i of u composed with
     the kernel rows of v^-1 the coordinate row i; both are formed only
     for the rank positions the group keeps, and stay sparse.
@@ -281,15 +275,17 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """
     _check_degree(cx, deg)
     n = cx.n(deg)
-    out = cx.out_diff(deg)
-    if out is None:
-        stacked = IntMatrix.zero(0, n)
-    else:
-        d_out, tgt = out
-        stacked = d_out.hstack(cx.relations(tgt))
-    w = _smith(stacked, v=True)
+    out = cx._out_slots[deg]
+    stacked, cols = [], n
+    if out is not None:
+        d_out, slot = out
+        stacked = _sparse_rows(d_out)
+        for r, c in slot.items():
+            stacked[r][c] = 2
+        cols += len(slot)
+    w = _smith(stacked, cols, v=True)
     diag = w.diagonal()
-    ker = [j for j in range(stacked.cols) if j >= len(diag) or diag[j] == 0]
+    ker = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
     # u*m*v = s makes every other coordinate of a kernel vector vanish, and
     # dropping the relation rows is injective on the kernel
     k_basis = [{i: x for i, x in w.v[j].items() if i < n} for j in ker]
@@ -305,12 +301,13 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     for r, row in enumerate(to_cycle):
         for m, x in row.items():
             by_col.setdefault(m, []).append((r, x))
-    y = [[0] * len(lifts) for _ in ker]
+    y = [{} for _ in ker]
     for c, lift in enumerate(lifts):
         for m, a in lift.items():
             for r, x in by_col.get(m, ()):
-                y[r][c] += a * x
-    w2 = _smith(IntMatrix(len(ker), len(lifts), tuple(map(tuple, y))), u=True)
+                y[r][c] = y[r].get(c, 0) + a * x
+    w2 = _smith([{c: x for c, x in row.items() if x} for row in y],
+                len(lifts), u=True)
     diag = w2.diagonal()
     free_pos, tors_pos = [], []
     for i in range(len(ker)):

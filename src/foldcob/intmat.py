@@ -15,8 +15,17 @@ nonzeros it touches.  Pivots depend on s alone, so ``_smith`` tracks
 only the sides its caller reads: homology's reduction of a differential
 beside its torsion relations tracks v and v^-1, its reduction of the
 boundaries in cycle coordinates u and u^-1, ``cokernel_is_trivial``
-neither.  ``snf_with_inverses`` tracks both and scatters the five
-results into dense rows once, at the end.
+neither.  ``_smith`` takes its input as sparse rows, which homology
+builds directly; ``snf_with_inverses`` tracks both sides and scatters
+the five results into dense rows once, at the end.
+
+The reduction also visits only the rows of s that can be nonzero where
+it works.  At step t the rows above t are zero from column t on, so a
+column operation starts at row t.  Below t, after an elimination pass
+down column t, exactly the rows left with a nonzero remainder can be
+nonzero there; a row swap exchanges row t with one of them and keeps
+that set, while a column swap brings in another column, whose nonzero
+rows are found by a scan.
 """
 
 from __future__ import annotations
@@ -140,14 +149,16 @@ class _Work:
     is stored along the vectors its operations move: an addition is one
     sparse a += q*b, a swap is a list swap and a negation a loop over one
     vector's nonzeros, and none of them reads an entry that is zero.  Only
-    the column operations on s cross its rows, a lookup or two per row.
+    the column operations on s cross its rows, a lookup or two per row:
+    the rows an addition is given, and for a swap of columns t < j the
+    rows from t on.
     An untracked side (u, u^-1 unless ``u``; v, v^-1 unless ``v``) starts
     as zero vectors, which every operation leaves zero.
     """
 
-    def __init__(self, m: IntMatrix, u: bool, v: bool):
-        self.nr, self.nc = m.rows, m.cols
-        self.s = [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+    def __init__(self, rows, nc, u: bool, v: bool):
+        self.nr, self.nc = len(rows), nc
+        self.s = rows
         self.u = [{i: 1} if u else {} for i in range(self.nr)]
         self.uinv = [{i: 1} if u else {} for i in range(self.nr)]
         self.v = [{j: 1} if v else {} for j in range(self.nc)]
@@ -171,26 +182,27 @@ class _Work:
         _axpy(self.u[i], self.u[j], q)
         _axpy(self.uinv[j], self.uinv[i], -q)
 
-    def col_swap(self, i, j):
-        for r in self.s:
-            if i in r or j in r:
-                a, b = r.pop(i, 0), r.pop(j, 0)
+    def col_swap(self, t, j):
+        # rows above t are zero from column t on, so neither column is there
+        for r in self.s[t:]:
+            if t in r or j in r:
+                a, b = r.pop(t, 0), r.pop(j, 0)
                 if a:
                     r[j] = a
                 if b:
-                    r[i] = b
+                    r[t] = b
         for cols in (self.v, self.vinv):
-            cols[i], cols[j] = cols[j], cols[i]
+            cols[t], cols[j] = cols[j], cols[t]
 
-    def col_adds(self, j, ops):
+    def col_adds(self, j, ops, rows):
         """col i += ops[i] * col j for every key i of the dict ops (not j).
 
-        None of the additions writes column j, so one pass over the rows of
-        s does all of them: each row r adds r[j] * ops."""
-        for r in self.s:
-            x = r.get(j)
-            if x:
-                _axpy(r, ops, x)
+        None of the additions writes column j, so one pass over ``rows``,
+        the indices of the rows of s that are nonzero in column j, does all
+        of them: each such row r adds r[j] * ops."""
+        for i in rows:
+            r = self.s[i]
+            _axpy(r, ops, r[j])
         for i, q in ops.items():
             _axpy(self.v[i], self.v[j], q)
             _axpy(self.vinv[j], self.vinv[i], -q)
@@ -206,8 +218,12 @@ def _reduce(w: _Work):
     # Euclidean reduction: the pivot's row and column are cut down to
     # remainders of at most |pivot| / 2, and the least remainder becomes
     # the next pivot, so |pivot| strictly falls and coefficients stay small.
-    # Rows from t on are zero left of column t and columns from t on are
-    # zero above row t, so "nonempty" below means "nonzero in the block".
+    # Rows from t on are zero left of column t and rows above t are zero
+    # from column t on, so "nonempty" below means "nonzero in the block".
+    # ``col`` lists, in order, the rows below t that are nonzero in column
+    # t: a pass keeps the rows left with a remainder, a row swap moves row
+    # t into one of them and so keeps the list, and a column swap brings
+    # in a new column, which is scanned afresh (col = None).
     nr, nc, s = w.nr, w.nc, w.s
     t = 0
     while t < min(nr, nc):
@@ -222,20 +238,26 @@ def _reduce(w: _Work):
             w.row_swap(t, i)
         if j != t:
             w.col_swap(t, j)
+        col = None
         while True:
             p = s[t][t]
+            if col is None:
+                col = [i for i in range(t + 1, nr) if t in s[i]]
             # a zero quotient (|entry| <= |p| / 2) would add nothing
-            for i in range(t + 1, nr):
-                x = s[i].get(t)
-                q = x and _nearest_quotient(x, p)
+            rest = []
+            for i in col:
+                x = s[i][t]
+                q = _nearest_quotient(x, p)
                 if q:
                     w.row_add(i, t, -q)
+                    x -= q * p
+                if x:
+                    rest.append((abs(x), i, t))
+            col = [i for _, i, _ in rest]
             ops = {j: -q for j, x in s[t].items()
                    if j != t and (q := _nearest_quotient(x, p))}
             if ops:
-                w.col_adds(t, ops)
-            rest = [(abs(x), i, t) for i in range(t + 1, nr)
-                    if (x := s[i].get(t))]
+                w.col_adds(t, ops, [t] + col)
             rest += [(abs(x), t, j) for j, x in s[t].items() if j != t]
             if not rest:
                 break
@@ -244,6 +266,7 @@ def _reduce(w: _Work):
                 w.row_swap(t, i)
             else:
                 w.col_swap(t, j)
+                col = None
         # force divisibility towards the rest of the block (a unit divides
         # everything)
         p = s[t][t]
@@ -269,10 +292,16 @@ def _dense(vecs, n):
     return tuple(out)
 
 
-def _smith(m: IntMatrix, u=False, v=False) -> _Work:
-    """m reduced to s = diag(d1 | d2 | ...) in a sparse workspace that
-    tracks u, u^-1 only if ``u`` and v, v^-1 only if ``v``."""
-    w = _Work(m, u, v)
+def _sparse_rows(m: IntMatrix):
+    """The rows of m as new dicts {column: nonzero}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def _smith(rows, nc, u=False, v=False) -> _Work:
+    """The matrix with the sparse ``rows`` (taken over and reduced in
+    place) and nc columns reduced to s = diag(d1 | d2 | ...) in a sparse
+    workspace that tracks u, u^-1 only if ``u`` and v, v^-1 only if ``v``."""
+    w = _Work(rows, nc, u, v)
     _reduce(w)
     return w
 
@@ -282,7 +311,7 @@ def snf_with_inverses(m: IntMatrix):
 
     Returns (u, s, v, uinv, vinv).
     """
-    w = _smith(m, u=True, v=True)
+    w = _smith(_sparse_rows(m), m.cols, u=True, v=True)
     nr, nc = w.nr, w.nc
     rows = lambda vecs, n: IntMatrix(len(vecs), n, _dense(vecs, n))
     # v and u^-1 are square and held by columns
@@ -299,5 +328,5 @@ def cokernel_is_trivial(m: IntMatrix) -> bool:
     """True iff Z^rows / im(m) = 0."""
     if m.rows == 0:
         return True
-    diag = _smith(m).diagonal()
+    diag = _smith(_sparse_rows(m), m.cols).diagonal()
     return len(diag) >= m.rows and all(abs(d) == 1 for d in diag[:m.rows])

@@ -553,10 +553,16 @@ def _parse_enum(cls, x, field):
 _MAX_ID_CHARS = 40
 
 
-def _show_id(x) -> str:
-    """A vertex id as messages show it: long ids are cut short."""
-    s = str(x)
+def _cut(s: str) -> str:
     return s if len(s) <= _MAX_ID_CHARS else s[:_MAX_ID_CHARS] + "..."
+
+
+def _show_id(x) -> str:
+    """A vertex id as messages show it: long ids are cut short, and one
+    with a line break or another unprintable character is shown as its
+    repr, so that the message stays one line."""
+    s = _cut(str(x))
+    return s if s.isprintable() else repr(s)
 
 
 def _frac_str(x: Fraction) -> str:
@@ -601,7 +607,7 @@ def _parse_frac(s) -> Fraction:
             raise ValueError("rational value with zero denominator") from None
         except ValueError:
             # int() and Fraction() would echo the whole string
-            raise ValueError(f"bad rational value {_show_id(s)!r}") from None
+            raise ValueError(f"bad rational value {_cut(s)!r}") from None
         raise ValueError("rational value exponent beyond "
                          f"+-{_MAX_VALUE_EXPONENT}")
     if isinstance(s, int) and not isinstance(s, bool):

@@ -145,6 +145,13 @@ def snf_with_inverses(m: IntMatrix):
             pack(w.uinv, w.nr, w.nr), pack(w.vinv, w.nc, w.nc))
 
 
+def relations(cx: MixedComplex, deg: int) -> IntMatrix:
+    """Columns 2e for each TWO_TORSION generator of the degree."""
+    n = cx.n(deg)
+    return from_columns([[2 if i == t else 0 for i in range(n)]
+                         for t in cx.torsion_indices(deg)], n)
+
+
 def _lift(cx: MixedComplex, deg: int, x):
     """x followed by y with d_out x + 2y = 0 on the torsion targets.
 
@@ -185,7 +192,7 @@ def _homology(cx: MixedComplex, deg: int):
         stacked = IntMatrix.zero(0, n)
     else:
         d_out, tgt = out
-        stacked = d_out.hstack(cx.relations(tgt))
+        stacked = d_out.hstack(relations(cx, tgt))
     _, s, v, _, vinv = snf_with_inverses(stacked)
     diag = diagonal(s)
     ker = [j for j in range(stacked.cols) if j >= len(diag) or diag[j] == 0]
@@ -194,7 +201,7 @@ def _homology(cx: MixedComplex, deg: int):
     k_basis = v.submatrix(range(n), ker)
     to_cycle = vinv.submatrix(ker, range(stacked.cols))
     inn = cx.in_diff(deg)
-    b = cx.relations(deg)
+    b = relations(cx, deg)
     if inn is not None:
         b = inn[0].hstack(b)
     lifts = [_lift(cx, deg, col) for col in b.columns()]

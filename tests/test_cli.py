@@ -476,6 +476,23 @@ def test_input_error_line_is_bounded(tmp_path, doc, argv, needle):
     assert len(line.encode()) < 200
 
 
+# an id with a line break is shown as its repr, so the error stays one line
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: [v.update(id="a\nb") for v in d["vertices"][:2]],
+     "duplicate vertex ids: 'a\\nb'"),
+    (lambda d: d["edges"].append([0, "a\nb"]),
+     "edge (0,'a\\nb') references unknown vertex"),
+], ids=["duplicate-id", "unknown-vertex"])
+def test_unprintable_id_error_is_one_line(tmp_path, capsys, edit, needle):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_rp2_doc_with(edit)))
+    code, out, err = run(capsys, "invariants", "--in", str(path),
+                         "--category", "unoriented")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err
+
+
 def _rp2_text_with(edit):
     return json.dumps(_rp2_doc_with(edit))
 

@@ -163,9 +163,9 @@ def _count_reductions(monkeypatch):
     """Record the sides each Smith reduction of homology tracks."""
     calls = []
 
-    def counting(m, u=False, v=False):
+    def counting(rows, nc, u=False, v=False):
         calls.append((u, v))
-        return _smith(m, u=u, v=v)
+        return _smith(rows, nc, u=u, v=v)
 
     monkeypatch.setattr("foldcob.complexes._smith", counting)
     return calls

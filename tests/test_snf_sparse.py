@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from foldcob.catalog import CatalogId, catalog
 from foldcob.complexes import (Direction, NotACycleError, RingTag,
                                express_class, hom_dual, homology, make_complex)
-from foldcob.intmat import IntMatrix, _dense, _smith, snf_with_inverses
+from foldcob.intmat import (IntMatrix, _dense, _smith, _sparse_rows,
+                            snf_with_inverses)
 
 import snf_reference as ref
 from test_complexes import build_mixed_complex, small_mats
@@ -62,7 +63,7 @@ def test_sparse_engine_matches_dense_reference(m):
     # pivots depend on s alone: tracking one side or neither ends with the
     # same s and the same transforms on the tracked side
     for u, v in ((True, False), (False, True), (False, False)):
-        w = _smith(m, u=u, v=v)
+        w = _smith(_sparse_rows(m), m.cols, u=u, v=v)
         assert _dense(w.s, m.cols) == want[1].entries
         assert not u or _dense(w.u, m.rows) == want[0].entries
         assert not v or _dense(w.vinv, m.cols) == want[4].entries
@@ -89,7 +90,7 @@ def _complexes():
     out = [catalog(c) for c in CatalogId]
     rng = random.Random(7)
     out += [_triangle_complex(rng, n, t) for n, t in
-            ((5, 6), (7, 10), (9, 16), (12, 30))]
+            ((5, 6), (7, 10), (9, 16), (12, 30), (16, 40), (20, 60))]
     homological = [cx for cx in out if cx.direction is Direction.HOMOLOGICAL]
     return out + [hom_dual(cx, g) for cx in homological
                   for g in (RingTag.FREE, RingTag.TWO_TORSION)]
