@@ -17,10 +17,14 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   says whether all labels do;
 - ``express_class`` on one reused Klein-bottle presentation;
 - ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
-  ``from_reeb`` and ``diagram_from_json`` on nonorientable
-  ``gen.reeb_case`` graphs of 10^3, 10^4 and 10^5 vertices and their
-  closed diagrams, each call timed on its own and each run on a freshly
-  parsed graph, so that no step reads what an earlier run cached;
+  ``from_reeb``, ``diagram_to_json``, ``diagram_from_json`` and
+  ``cusp_count_closed`` on nonorientable ``gen.reeb_case`` graphs of
+  10^3, 10^4 and 10^5 vertices and their closed diagrams, each call timed
+  on its own and each run on a freshly parsed graph or diagram, so that
+  no step reads what an earlier run cached; with them, per size, a
+  sha256 over ``graph_to_json``, ``fiber_profile``, ``invariants`` and
+  ``diagram_to_json(from_reeb(g))`` (``outputs_sha256``), and
+  ``same_outputs`` in the output says whether all labels agree on it;
 - the wall time of one ``python -m foldcob.cli`` subprocess, spawn to
   exit, per subcommand: the catalog commands, ``selftest``, and
   ``invariants``, ``reduce``, ``cobordant`` and ``cusp`` on the
@@ -32,19 +36,24 @@ A run is REPEAT rounds.  In each round every checkout given with
 ``--src`` times each step once, in a subprocess of its own (``--once``);
 the checkouts take turns, and their order flips from round to round, so
 that a drift of the machine during the run falls on all of them alike.
-Each timing is the median (and the least) of its REPEAT samples.  The
+In a round each in-process step is timed as the least of CALLS calls,
+after one call to warm up; each timing is then the median (and the
+least) of its REPEAT samples.  The
 results go under the ``--label`` of their checkout into the JSON file
 ``--out``, which must be named, next to any other labels already there.
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_14.json
+        --src src --label change --out BENCH_22.json
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import hashlib
 import json
+import math
 import os
 import platform
 import random
@@ -59,6 +68,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 SEED = 5
 REPEAT = 5
+CALLS = 3
 SIZES = (20, 40, 60)
 CELLS = 200
 QUERIES = 200
@@ -72,8 +82,10 @@ CLI_COMMANDS = (["catalog", "list"], ["catalog", "export", "--id", "V32"],
 
 
 def _timed(fn):
-    """Wall seconds of one call of fn, after one call to warm up."""
-    return timeit.Timer(fn).repeat(repeat=2, number=1)[-1]
+    """The least wall seconds of CALLS calls of fn, after one call to warm
+    up: a shared machine slows single calls, and the least call is the
+    one it slowed least."""
+    return min(timeit.Timer(fn).repeat(repeat=CALLS + 1, number=1)[1:])
 
 
 def _bits(*matrices):
@@ -182,30 +194,57 @@ def bench_express(gen, rng):
 
 
 def bench_surface(gen, rng):
-    from foldcob.diagrams import diagram_from_json, from_reeb
-    from foldcob.reeb import (Category, graph_from_json, invariants,
+    from foldcob.diagrams import (cusp_count_closed, diagram_from_json,
+                                  diagram_to_json, from_reeb)
+    from foldcob.reeb import (Category, fiber_profile, graph_from_json,
+                              graph_to_json, invariants,
                               reduce_to_normal_form)
 
-    def timed(row, name, fn, *args):
-        t = time.perf_counter()
-        out = fn(*args)
-        row[name + "_s"] = time.perf_counter() - t
-        return out
+    def least(fn, fresh):
+        """The least wall seconds of CALLS calls of fn, each on a new
+        input from fresh(), so that no call reads what another cached.
+        Each call starts right after a full collection, so the cyclic
+        collector runs inside it as often as the call's own allocations
+        make it run, not as often as earlier steps left it due."""
+        best = math.inf
+        for _ in range(CALLS):
+            x = fresh()
+            gc.collect()
+            t = time.perf_counter()
+            fn(x)
+            best = min(best, time.perf_counter() - t)
+        return best
 
     out = []
     category = Category.UNORIENTED
     for n in GRAPH_SIZES:
         case = gen.reeb_case(rng, n, False)
+        graph = lambda: graph_from_json(case.doc)
+        diagram = lambda: from_reeb(graph())
         row = {"vertices": case.vertices, "edges": case.edges}
-        g = timed(row, "graph_from_json", graph_from_json, case.doc)
-        inv = timed(row, "invariants", invariants, g, category)
-        red = timed(row, "reduce_to_normal_form", reduce_to_normal_form, g,
-                    category)
-        timed(row, "from_reeb", from_reeb, graph_from_json(case.doc))
-        d = timed(row, "diagram_from_json", diagram_from_json, case.diagram)
-        if ((inv.z, inv.w) != (case.z, case.w) or red.invariants != inv
-                or len(d.cells) != len(case.diagram["cells"])):
+        for name, fn, fresh in (
+                ("graph_from_json", graph_from_json, lambda: case.doc),
+                ("invariants", lambda g: invariants(g, category), graph),
+                ("reduce_to_normal_form",
+                 lambda g: reduce_to_normal_form(g, category), graph),
+                ("from_reeb", from_reeb, graph),
+                ("diagram_to_json", diagram_to_json, diagram),
+                ("diagram_from_json", diagram_from_json,
+                 lambda: case.diagram),
+                ("cusp_count_closed", cusp_count_closed,
+                 lambda: diagram_from_json(case.diagram))):
+            row[name + "_s"] = least(fn, fresh)
+        g = graph()
+        inv = invariants(g, category)
+        d = diagram_to_json(from_reeb(g))
+        cusps = cusp_count_closed(diagram_from_json(case.diagram))
+        if ((inv.z, inv.w) != (case.z, case.w) or d != case.diagram
+                or reduce_to_normal_form(g, category).invariants != inv
+                or (cusps.count, cusps.cross_check) != (case.z, "ok")):
             sys.exit("error: the surface layer gave a wrong answer")
+        row["outputs_sha256"] = hashlib.sha256(
+            json.dumps([graph_to_json(g), repr(fiber_profile(g)), repr(inv),
+                        d]).encode()).hexdigest()
         out.append(row)
     return out
 
@@ -267,6 +306,11 @@ def _ops(run):
     return ([row.get("ops") for row in run.get("matrices", [])]
             + [[row.get("homology_ops"), row.get("homology_z2dual_ops")]
                for row in run.get("homology", [])])
+
+
+def _outputs(run):
+    """Every surface output hash of a run, in order."""
+    return [row.get("outputs_sha256") for row in run.get("surface", [])]
 
 
 def _merge(samples):
@@ -334,10 +378,15 @@ def main(argv=None):
         doc.setdefault("runs", {})[label] = run
     doc["same_ops"] = len({json.dumps(_ops(run))
                            for run in doc["runs"].values()}) == 1
+    doc["same_outputs"] = len({json.dumps(_outputs(run))
+                               for run in doc["runs"].values()}) == 1
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps(doc["runs"], indent=1))
     if not doc["same_ops"]:
         print("warning: the labels ran different Smith operations",
+              file=sys.stderr)
+    if not doc["same_outputs"]:
+        print("warning: the labels gave different surface outputs",
               file=sys.stderr)
 
 

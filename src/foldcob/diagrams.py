@@ -8,13 +8,14 @@ class and its component count.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain, repeat
 
 from .choices import CUSP_C1, CUSP_C2
 from .reeb import (ReebGraph, _evaluate, _item_error, _json_list,
-                   _parse_enum, _signed, _tally, _valid_sweep)
+                   _parse_enum, _tally, _valid_sweep)
 
 
 class BoundaryMode(Enum):
@@ -41,7 +42,8 @@ DiagramEvent = namedtuple("DiagramEvent", "fiber_class components")
 class _Cells(dict):
     """Cells of one kind by their fields, each built once: ``cells[args]``
     is ``kind(*args)``.  Cells are immutable and compare by value, so a
-    diagram can hold one object for every equal cell."""
+    diagram can hold one object for every equal cell.  ``from_reeb``
+    keeps the pair of cells of each distinct sweep event in one too."""
 
     def __init__(self, kind):
         super().__init__()
@@ -76,53 +78,96 @@ def validate_diagram(d: CircleFiberDiagram) -> list[str]:
     return list(d._problems)
 
 
+# what each slot of the cell list holds: arcs at even, events at odd
+_SLOTS = ((RegularArc, "arc"), (DiagramEvent, "event"))
+
+
 def _diagram_problems(d: CircleFiberDiagram) -> list[str]:
-    out = []
+    """What makes the diagram invalid, in the order ``validate_diagram``
+    reports it: the cell list's shape, then each arc's and each event's
+    own problems, and only when there are none, each event's transition
+    between its two arcs.  ``_listed`` runs each rule once per distinct
+    cell or distinct (arc, event, arc) triple."""
     cells = d.cells
     if len(cells) == 0:
         return ["diagram needs at least one arc"]
     if len(cells) % 2 != 0 and len(cells) != 1:
         return ["cell list must alternate arc/event cyclically"]
-    for i, cell in enumerate(cells):
-        want_arc = i % 2 == 0
-        if want_arc != isinstance(cell, RegularArc):
-            return [f"cell {i}: expected {'arc' if want_arc else 'event'}"]
-    for i, arc in enumerate(d.arcs()):
-        if arc.circles < 0 or arc.arcs < 0:
-            out.append(f"arc {i}: negative component count")
-        if d.mode is BoundaryMode.CLOSED and arc.arcs != 0:
-            out.append(f"arc {i}: arc components in a CLOSED diagram")
-    for i, ev in enumerate(d.events()):
-        if ev.fiber_class not in _CLASSES:
-            out.append(f"event {i}: class must be one of "
-                       + ", ".join(_CLASSES))
-            continue
-        if ev.components < 1:
-            out.append(f"event {i}: components must be >= 1")
-        if ev.fiber_class == "Ia" and d.mode is BoundaryMode.CLOSED:
-            out.append(f"event {i}: boundary class in a CLOSED diagram")
-        if ev.fiber_class == "I2" and d.mode is not BoundaryMode.CLOSED:
-            out.append(f"event {i}: cross-cap class outside CLOSED mode")
+    arcs, events = cells[0::2], cells[1::2]
+    if not (all(map(isinstance, arcs, repeat(RegularArc)))
+            and all(map(isinstance, events, repeat(DiagramEvent)))):
+        for i, cell in enumerate(cells):
+            kind, name = _SLOTS[i % 2]
+            if not isinstance(cell, kind):
+                return [f"cell {i}: expected {name}"]
+    closed = d.mode is BoundaryMode.CLOSED
+    out = (_listed("arc", partial(_arc_rule, closed), arcs)
+           + _listed("event", partial(_event_rule, closed), events))
     if out:
         return out
     # event i lies between arc i and arc i + 1, cyclically
-    arcs = d.arcs()
-    for i, (before, ev, after) in enumerate(zip(arcs, d.events(),
-                                                arcs[1:] + arcs[:1])):
-        dc = after.circles - before.circles
-        da = after.arcs - before.arcs
-        if ev.fiber_class in ("I0", "I1"):
-            if abs(dc) != 1 or da != 0:
-                out.append(f"event {i}: {ev.fiber_class} transition must "
-                           "change circles by 1 and keep arcs")
-        elif ev.fiber_class == "I2":
-            if dc != 0 or da != 0:
-                out.append(f"event {i}: I2 transition must keep both counts")
-        else:
-            if abs(dc + da) != 1:
-                out.append(f"event {i}: Ia transition must change the "
-                           "total count by 1")
+    return _listed("event", _transition_rule, arcs, events,
+                   arcs[1:] + arcs[:1])
+
+
+def _listed(name: str, rule, *columns) -> list[str]:
+    """The problems ``rule`` finds with the cells at each position of the
+    columns, as "<name> i: <problem>" in position order.
+
+    The rule runs once per distinct tuple of cells, in the order they
+    first occur; only when it finds a problem are the positions walked.
+    Equal cells get one answer, so a cell that the rule cannot compare
+    raises the error it would raise at its first position.  When a cell
+    has an unhashable field, the rule runs on every position instead.
+    The tuples are not kept, so a long diagram adds no objects for the
+    cyclic collector to scan."""
+    try:
+        distinct = dict.fromkeys(zip(*columns))
+    except TypeError:
+        return [f"{name} {i}: {p}" for i, cells in enumerate(zip(*columns))
+                for p in rule(*cells)]
+    found = {cells: rule(*cells) for cells in distinct}
+    if not any(found.values()):
+        return []
+    return [f"{name} {i}: {p}" for i, cells in enumerate(zip(*columns))
+            for p in found[cells]]
+
+
+def _arc_rule(closed: bool, arc) -> list[str]:
+    out = []
+    if arc.circles < 0 or arc.arcs < 0:
+        out.append("negative component count")
+    if closed and arc.arcs != 0:
+        out.append("arc components in a CLOSED diagram")
     return out
+
+
+def _event_rule(closed: bool, ev) -> list[str]:
+    if ev.fiber_class not in _CLASSES:
+        return ["class must be one of " + ", ".join(_CLASSES)]
+    out = []
+    if ev.components < 1:
+        out.append("components must be >= 1")
+    if ev.fiber_class == "Ia" and closed:
+        out.append("boundary class in a CLOSED diagram")
+    if ev.fiber_class == "I2" and not closed:
+        out.append("cross-cap class outside CLOSED mode")
+    return out
+
+
+def _transition_rule(before, ev, after) -> list[str]:
+    dc = after.circles - before.circles
+    da = after.arcs - before.arcs
+    if ev.fiber_class in ("I0", "I1"):
+        if abs(dc) != 1 or da != 0:
+            return [f"{ev.fiber_class} transition must change circles by 1 "
+                    "and keep arcs"]
+    elif ev.fiber_class == "I2":
+        if dc != 0 or da != 0:
+            return ["I2 transition must keep both counts"]
+    elif abs(dc + da) != 1:
+        return ["Ia transition must change the total count by 1"]
+    return []
 
 
 def _require_valid(d: CircleFiberDiagram):
@@ -136,13 +181,16 @@ def algebraic_counts(d: CircleFiberDiagram) -> dict:
 
     Sign is +1 when the regular total-component parity goes even to odd
     in the counterclockwise direction.  The cross-cap class I2 does not
-    flip parity and is counted mod 2 per parity.
+    flip parity and is counted mod 2 per parity.  Each distinct (arc,
+    event) pair is read once and counted with its number of positions;
+    ``from_reeb`` and ``diagram_from_json`` build few distinct cells.
     """
     _require_valid(d)
     # arcs()[i] is the regular level just before events()[i]
-    return _tally(_signed((ev.fiber_class, ev.components, before.total)
-                          for before, ev in zip(d.arcs(), d.events())),
-                  _CLASSES)
+    counted = Counter()
+    for (before, ev), n in Counter(zip(d.arcs(), d.events())).items():
+        counted[ev.fiber_class, ev.components, before.total] += n
+    return _tally(counted, _CLASSES)
 
 
 # cross_check is "ok" or "mismatch"
@@ -185,10 +233,11 @@ def from_reeb(g: ReebGraph) -> CircleFiberDiagram:
     and ends with an empty arc.
     """
     arcs, events = _Cells(RegularArc), _Cells(DiagramEvent)
-    cells = []
-    for cls, components, below in _valid_sweep(g).events():
-        # the regular level below the critical value, then its fiber
-        cells += arcs[below, 0], events[cls, components]
+    # each sweep event gives the regular level below its critical value,
+    # then its fiber; equal events give the same pair of cells
+    pairs = _Cells(lambda cls, components, below: (arcs[below, 0],
+                                                    events[cls, components]))
+    cells = chain.from_iterable(map(pairs.__getitem__, _valid_sweep(g).events))
     return CircleFiberDiagram(BoundaryMode.CLOSED,
                               tuple(cells) or (RegularArc(0),))
 
@@ -238,13 +287,12 @@ def disjoint_union_diagrams(d1: CircleFiberDiagram,
 
 
 def diagram_to_json(d: CircleFiberDiagram) -> dict:
-    cells = []
-    for i, cell in enumerate(d.cells):
-        if i % 2 == 0:
-            cells.append({"arc": {"circles": cell.circles, "arcs": cell.arcs}})
-        else:
-            cells.append({"event": {"class": cell.fiber_class,
-                                    "components": cell.components}})
+    cells = [None] * len(d.cells)
+    cells[0::2] = [{"arc": {"circles": a.circles, "arcs": a.arcs}}
+                   for a in d.cells[0::2]]
+    cells[1::2] = [{"event": {"class": e.fiber_class,
+                              "components": e.components}}
+                   for e in d.cells[1::2]]
     return {"mode": d.mode.value, "cells": cells}
 
 

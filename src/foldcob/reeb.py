@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -85,6 +85,8 @@ _RULES = {_MIN: (1, (1,), "MIN must have its neighbor above"),
           _MAX: (1, (0,), "MAX must have its neighbor below"),
           _SADDLE: (3, (1, 2), "saddle needs edges on both sides"),
           _DEG2: (2, (1,), "DEG2 needs one edge on each side")}
+# the (kind, degree, ups) of every vertex that keeps its rule
+_FITS = {(k, d, u) for k, (d, ups, _) in _RULES.items() for u in ups}
 
 
 def _value_key(x: Fraction):
@@ -107,44 +109,53 @@ class _Sweep:
     ``problems`` lists what makes the graph invalid, in the order
     ``validate_reeb`` reports it.  Only when there are none does the
     sweep hold the rest.  ``order`` holds the vertices by increasing
-    value, ``_value_key`` being the one rule that orders them; position
-    by position, ``down`` counts their edges to lower vertices and
-    ``below`` the edges crossing the regular level just below the
-    vertex.  An edge counts as up at its lower end and as down at its
-    upper end, so the edges crossing a regular level are the ups minus
-    the downs of the vertices under it: one sort and one pass over the
-    edges give every count, in O((V+E) log V).
+    value, ``_value_key`` being the one rule that orders them: the sweep
+    sorts by the keys' floats, which ``graph_from_json`` hands in from
+    ``_parse_frac``, and only when two floats tie by the whole keys,
+    which compare the values exactly.  An edge counts as up at its lower
+    end and as down at its upper end, so the edges crossing a regular
+    level are the ups minus the downs of the vertices under it: one sort
+    and one pass over the edges give every count, in O((V+E) log V).
 
-    The same ordered pass counts the totals the invariants read:
-    ``kinds``, the number of vertices of each kind, and ``split``, the
-    saddles with two upper and with two lower edges.  The signed
-    ``tally`` is worked out from ``events()`` on first use and kept.
+    The same ordered pass stores ``events``: for each vertex in value
+    order, its fiber's (class, components, regular components below),
+    as ``_signed`` reads them.  It also counts the totals the invariants
+    read: ``kinds``, the number of vertices of each kind, and ``split``,
+    the saddles with two upper and with two lower edges.  The signed
+    ``tally`` is worked out from ``events`` on first use and kept.
     """
 
-    def __init__(self, g: ReebGraph):
+    def __init__(self, g: ReebGraph, floats=None):
         self.problems = problems = []
         vs = g.vertices
-        index = {v.id: i for i, v in enumerate(vs)}
+        ids, values, kinds = zip(*vs) if vs else ((), (), ())
+        index = dict(zip(ids, range(len(vs))))
         if len(index) != len(vs):
             # index keeps an id's last vertex: the first vertex that is
             # not its id's last carries the first repeated id
-            repeat = next(v.id for i, v in enumerate(vs) if index[v.id] != i)
+            repeat = next(x for i, x in enumerate(ids) if index[x] != i)
             problems.append(f"duplicate vertex ids: {_show_id(repeat)}")
             return
-        keys = [_value_key(v.value) for v in vs]
-        by_value = sorted(range(len(vs)), key=keys.__getitem__)
-        # ranks in value order; equal values share a rank
-        rank = [0] * len(vs)
-        r = 0
-        tie = None
-        for prev, i in zip(by_value, by_value[1:]):
-            if keys[i] != keys[prev]:
-                r += 1
-            elif tie is None:
-                tie = f"{_show_id(vs[prev].id)} and {_show_id(vs[i].id)}"
-            rank[i] = r
-        if tie:
-            problems.append(f"vertex values not distinct: vertices {tie}")
+        if floats is None:
+            floats = [_value_key(x)[0] for x in values]
+        # distinct floats order the values exactly and rank them
+        rank = floats
+        by_value = sorted(range(len(vs)), key=floats.__getitem__)
+        if len(set(floats)) < len(vs):
+            keys = list(map(_value_key, values))
+            by_value = sorted(range(len(vs)), key=keys.__getitem__)
+            # ranks in value order; equal values share a rank
+            rank = [0] * len(vs)
+            r = 0
+            tie = None
+            for prev, i in zip(by_value, by_value[1:]):
+                if keys[i] != keys[prev]:
+                    r += 1
+                elif tie is None:
+                    tie = f"{_show_id(ids[prev])} and {_show_id(ids[i])}"
+                rank[i] = r
+            if tie:
+                problems.append(f"vertex values not distinct: vertices {tie}")
         deg = [0] * len(vs)
         up = [0] * len(vs)
         unknown = False
@@ -166,47 +177,42 @@ class _Sweep:
             deg[j] += 1
         if unknown:
             return
-        sides = []
-        for v, d, u in zip(vs, deg, up):
-            degree, ups, lack = _RULES[v.kind]
-            if d != degree:
-                problems.append(f"vertex {_show_id(v.id)}: {v.kind.value} "
-                                f"has degree {d}")
-            elif u not in ups:
-                sides.append(f"vertex {_show_id(v.id)}: {lack}")
-        # every degree problem comes before every side problem
-        problems += sides
-        if g.orientable and any(v.kind is _DEG2 for v in vs):
+        # each distinct (kind, degree, ups) is checked once; only when one
+        # breaks a rule are the vertices walked for the messages
+        if not set(zip(kinds, deg, up)) <= _FITS:
+            sides = []
+            for x, kind, d, u in zip(ids, kinds, deg, up):
+                degree, ups, lack = _RULES[kind]
+                if d != degree:
+                    problems.append(f"vertex {_show_id(x)}: {kind.value} "
+                                    f"has degree {d}")
+                elif u not in ups:
+                    sides.append(f"vertex {_show_id(x)}: {lack}")
+            # every degree problem comes before every side problem
+            problems += sides
+        if g.orientable and _DEG2 in kinds:
             problems.append("DEG2 vertex in an orientable graph")
         if problems:
             return
-        self.order = order = [vs[i] for i in by_value]
-        self.down = down = [deg[i] - up[i] for i in by_value]
-        self.below = below = []
-        self.kinds = kinds = dict.fromkeys(VertexKind, 0)
-        crossing = n2 = 0
-        for i, v, d in zip(by_value, order, down):
+        self.order = list(map(vs.__getitem__, by_value))
+        self.events = events = []
+        below = 0
+        for i in by_value:
             u = up[i]
-            below.append(crossing)
-            crossing += u - d
-            kinds[v.kind] += 1
-            # only a saddle splitting upwards has two upper edges
-            if u == 2:
-                n2 += 1
-        self.split = n2, kinds[_SADDLE] - n2
-
-    def events(self):
-        """(class, components, regular components below) of each vertex's
-        fiber in value order, as ``_signed`` reads them."""
-        for v, down, below in zip(self.order, self.down, self.below):
+            down = deg[i] - u
             # the vertex's own component plus every edge through its level
-            yield _EVENT_CLASS[v.kind], 1 + below - down, below
+            events.append((_EVENT_CLASS[kinds[i]], 1 + below - down, below))
+            below += u - down
+        self.kinds = Counter(kinds)
+        # only a saddle splitting upwards has two upper edges
+        n2 = up.count(2)
+        self.split = n2, self.kinds[_SADDLE] - n2
 
     @cached_property
     def tally(self) -> dict:
         """The graph's fiber cycle in V32, keyed as ``_tally`` keys it.
         Callers share it, so they read it and never change it."""
-        return _tally(_signed(self.events()))
+        return _tally(Counter(self.events))
 
 
 def _signed(events):
@@ -219,15 +225,19 @@ def _signed(events):
                None if cls == "I2" else -1 if before % 2 else 1)
 
 
-def _tally(signed, classes=("I0", "I1", "I2")) -> dict:
-    """The fiber chain of a ``_signed`` stream: one total per generator
-    label ``<class>_<parity>`` of the catalogs, in their order.  A
-    signed event adds its sign; I2, a Z2 generator, is counted mod 2.
-    With the default classes the keys are those of V32 in degree 1."""
+def _tally(counted: dict, classes=("I0", "I1", "I2")) -> dict:
+    """The fiber chain of the events counted, a map from each distinct
+    (class, components, regular components before) to its number of
+    occurrences: one total per generator label ``<class>_<parity>`` of
+    the catalogs, in their order.  Each distinct event is signed once by
+    ``_signed`` and adds its sign times its count; I2, a Z2 generator,
+    adds its count mod 2.  With the default classes the keys are those
+    of V32 in degree 1."""
     counts = {f"{cls}_{p}": 0 for cls in classes for p in "oe"}
-    for cls, _, parity, sign in signed:
+    for (cls, _, parity, sign), n in zip(_signed(counted), counted.values()):
         key = f"{cls}_{parity}"
-        counts[key] = counts[key] ^ 1 if sign is None else counts[key] + sign
+        counts[key] = ((counts[key] + n) % 2 if sign is None
+                       else counts[key] + sign * n)
     return counts
 
 
@@ -265,7 +275,7 @@ def fiber_profile(g: ReebGraph) -> FiberProfile:
     return FiberProfile(
         tuple(FiberEvent(v.value, cls, parity, sign, components)
               for v, (cls, components, parity, sign)
-              in zip(s.order, _signed(s.events()))),
+              in zip(s.order, _signed(s.events))),
         dict(s.tally))
 
 
@@ -482,6 +492,7 @@ def graph_from_json(doc) -> ReebGraph:
             raise ValueError("orientable must be true or false, not "
                              f"{type(orientable).__name__}")
         vertices = []
+        floats = []
         listed = _json_list(doc, "vertices")
         try:
             for n, v in enumerate(listed):
@@ -492,7 +503,8 @@ def graph_from_json(doc) -> ReebGraph:
                                      f"{type(v).__name__}") from None
                 if type(i) is not int and type(i) is not str:
                     i = _parse_id(i)
-                value = _parse_frac(v["value"])
+                value, f = _parse_frac(v["value"])
+                floats.append(f)
                 raw = v["kind"]
                 kind = _KIND.get(raw) if type(raw) is str else None
                 vertices.append(Vertex(i, value, kind or _parse_enum(
@@ -521,6 +533,8 @@ def graph_from_json(doc) -> ReebGraph:
     except (TypeError, ValueError) as exc:
         raise ReebError(f"malformed graph document: {exc}") from exc
     g = ReebGraph(orientable, tuple(vertices), tuple(edges))
+    # the sweep sorts by the floats of the parse; ``_sweep`` caches it
+    g._sweep = _Sweep(g, floats)
     _valid_sweep(g)
     return g
 
@@ -589,7 +603,11 @@ _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 _INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_frac(s) -> Fraction:
+def _parse_frac(s) -> tuple:
+    """A JSON value as (Fraction, the float of its ``_value_key``).  For
+    the strings of ``_INT_RATIO`` the float is p / q of the parsed
+    integers, which rounds correctly, so equal values give equal floats
+    however they are written."""
     if isinstance(s, str):
         if len(s) > _MAX_VALUE_CHARS:
             raise ValueError(f"rational value longer than {_MAX_VALUE_CHARS} "
@@ -597,19 +615,25 @@ def _parse_frac(s) -> Fraction:
         ratio = _INT_RATIO.fullmatch(s)
         try:
             if ratio is not None:
-                p, q = ratio.groups()
-                return (Fraction(int(p)) if q is None
-                        else Fraction(int(p), int(q)))
+                p, q = ratio.groups("1")
+                p, q = int(p), int(q)
+                x = Fraction(p, q)
+                # p / q is the only step here that can overflow
+                return x, p / q
             exp = _EXPONENT.search(s)
             if not exp or abs(int(exp.group(1))) <= _MAX_VALUE_EXPONENT:
-                return Fraction(s)
+                x = Fraction(s)
+                return x, _value_key(x)[0]
         except ZeroDivisionError:
             raise ValueError("rational value with zero denominator") from None
+        except OverflowError:
+            return x, _value_key(x)[0]
         except ValueError:
             # int() and Fraction() would echo the whole string
             raise ValueError(f"bad rational value {_cut(s)!r}") from None
         raise ValueError("rational value exponent beyond "
                          f"+-{_MAX_VALUE_EXPONENT}")
     if isinstance(s, int) and not isinstance(s, bool):
-        return Fraction(s)
+        x = Fraction(s)
+        return x, _value_key(x)[0]
     raise ValueError(f"bad rational value of type {type(s).__name__}")

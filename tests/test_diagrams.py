@@ -250,3 +250,15 @@ def test_union_with_a_single_arc_shifts_the_other_diagram():
                                   (RegularArc(0, 1),))
     with pytest.raises(DiagramError, match="different modes"):
         disjoint_union_diagrams(lone, boundary)
+
+
+@pytest.mark.parametrize("event", [None, ("I0", 1), RegularArc(1)])
+def test_an_event_slot_holds_only_an_event(event):
+    d = closed(RegularArc(0), event)
+    assert validate_diagram(d) == ["cell 1: expected event"]
+    other = closed(RegularArc(0))
+    for call in (cusp_count_closed, reverse,
+                 lambda x: disjoint_union_diagrams(x, other),
+                 lambda x: disjoint_union_diagrams(other, x)):
+        with pytest.raises(DiagramError, match="^cell 1: expected event$"):
+            call(d)

@@ -227,7 +227,10 @@ def test_invariant_identities_fire_on_inconsistent_counts():
     with pytest.raises(AssertionError, match="strand-count"):
         invariants(g, Category.ORIENTED)
     g = _one_saddle_two_max()
-    g._sweep.down[3] = 0  # the top maximum's fiber gains a component
+    events = g._sweep.events
+    cls, components, below = events[3]
+    # the top maximum's fiber gains a component
+    events[3] = cls, components + 1, below
     with pytest.raises(AssertionError, match="minimum/maximum"):
         invariants(g, Category.ORIENTED)
 

@@ -36,9 +36,9 @@ def sweeps(monkeypatch):
     n = [0]
 
     class CountedSweep(reeb._Sweep):
-        def __init__(self, g):
+        def __init__(self, *args):
             n[0] += 1
-            super().__init__(g)
+            super().__init__(*args)
 
     monkeypatch.setattr(reeb, "_Sweep", CountedSweep)
     return n

@@ -1,8 +1,9 @@
 """Graph values parse exactly: ``reeb._parse_frac`` reads integer and
 "p/q" strings with int() alone and must agree, value for value and
 message for message, with the bounded ``Fraction(str)`` parser it
-replaces on those strings.  Rebuilt seeded graphs round-trip through
-JSON with every value exact."""
+replaces on those strings; the float it returns with each value is the
+one of that value's ``_value_key``.  Rebuilt seeded graphs round-trip
+through JSON with every value exact."""
 
 import random
 import re
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from foldcob.reeb import (VertexKind, _parse_frac, graph_from_json,
-                          graph_to_json, invariants, Category)
+from foldcob import reeb
+from foldcob.reeb import (ReebError, VertexKind, _parse_frac, _value_key,
+                          graph_from_json, graph_to_json, invariants,
+                          random_reeb, Category)
 
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
@@ -42,6 +45,13 @@ def _reference_parse_frac(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"bad rational value of type {type(s).__name__}")
+
+
+def _parsed_value(s) -> Fraction:
+    """The value ``_parse_frac`` reads, after checking its float."""
+    value, key = _parse_frac(s)
+    assert key == _value_key(value)[0]
+    return value
 
 
 def _outcome(parse, x):
@@ -78,7 +88,7 @@ _ALPHABET = "0123456789-+/.eE_ ٣²"
 @example("-" + "9" * 999)
 @example("1/" + "9" * 998)
 def test_parse_frac_agrees_with_fraction_str(x):
-    assert _outcome(_parse_frac, x) == _outcome(_reference_parse_frac, x)
+    assert _outcome(_parsed_value, x) == _outcome(_reference_parse_frac, x)
 
 
 def _reeb_case(rng, n_vertices, orientable):
@@ -147,3 +157,64 @@ def test_benchmark_graphs_round_trip_exactly(seed):
     assert invariants(again, category).z == (kinds.count("MAX")
                                              - kinds.count("MIN"))
     assert all(isinstance(v.kind, VertexKind) for v in again.vertices)
+
+
+# strings whose outcome graph_from_json must take from _parse_frac: a
+# signed zero, leading zeros, a zero numerator, a zero denominator, a
+# plus sign, a space, an underscore, two values equal to 2**53 + 1 that
+# round to the same float, a value beyond the float range and a string
+# over the length bound
+_VALUE_CASES = ["-0", "007/3", "0/5", "1/0", "+3", " 4", "1_0",
+                "9007199254740993", "9007199254740993/1",
+                "1" + "0" * 400 + "/1", "7" * 1001]
+
+
+def _two_vertex_doc(low, high="1" + "0" * 401):
+    return {"orientable": True,
+            "vertices": [{"id": 0, "value": low, "kind": "MIN"},
+                         {"id": 1, "value": high, "kind": "MAX"}],
+            "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("value", _VALUE_CASES)
+def test_graph_from_json_reads_each_value_as_parse_frac(value):
+    # some of these strings parse on one Python version and not on
+    # another, so the expected outcome is read from _parse_frac here
+    try:
+        want = _parse_frac(value)[0]
+    except ValueError as exc:
+        with pytest.raises(ReebError) as got:
+            graph_from_json(_two_vertex_doc(value))
+        assert str(got.value) == f"malformed graph document: vertex 0: {exc}"
+        return
+    g = graph_from_json(_two_vertex_doc(value))
+    assert g.vertices[0].value == want
+    assert [v.id for v in g._sweep.order] == [0, 1]
+
+
+def test_values_equal_beyond_float_precision_are_refused():
+    doc = _two_vertex_doc("9007199254740993", "9007199254740993/1")
+    with pytest.raises(ReebError, match="^vertex values not distinct: "
+                                        "vertices 0 and 1$"):
+        graph_from_json(doc)
+
+
+def _float_tied(doc):
+    """doc with every value v moved to 1/3 + v / 10**30: the values keep
+    their order, but their floats tie."""
+    for v in doc["vertices"]:
+        x = Fraction(1, 3) + Fraction(v["value"]) / 10 ** 30
+        v["value"] = f"{x.numerator}/{x.denominator}"
+    return doc
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sweep_order_from_parsed_floats_is_the_value_order(seed):
+    rng = random.Random(seed)
+    doc = graph_to_json(random_reeb(seed, rng.randrange(1, 60),
+                                     seed % 2 == 0))
+    for d in (doc, _float_tied(graph_to_json(graph_from_json(doc)))):
+        rng.shuffle(d["vertices"])
+        g = graph_from_json(d)
+        assert g._sweep.order == reeb._Sweep(g).order
+        assert g._sweep.events == reeb._Sweep(g).events
