@@ -11,10 +11,12 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   genus-2 complex and of each one's Z2 dual, bypassing the cache;
 - for each of those SNFs and homologies, in one more untimed call, the
   elementary operations of its Smith reductions (``ops``: row_add,
-  row_swap, row_neg, col_adds and col_swap calls, and ``axpy_nonzeros``,
-  the nonzeros that sparse a += q*b reads); two checkouts that run the
-  same elimination give the same counts, and ``same_ops`` in the output
-  says whether all labels do;
+  row_swap, row_neg, col_adds and col_swap calls) and, beside them,
+  ``axpy_nonzeros``, the nonzeros that sparse a += q*b reads; two
+  checkouts that run the same elimination give the same operation
+  counts, and ``same_ops`` in the output says whether all labels do,
+  while the nonzeros read fall when a checkout skips work, and their sum
+  per label is printed on a line of its own;
 - ``express_class`` on one reused Klein-bottle presentation;
 - ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
   ``from_reeb``, ``diagram_to_json``, ``diagram_from_json`` and
@@ -44,7 +46,7 @@ results go under the ``--label`` of their checkout into the JSON file
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_22.json
+        --src src --label change --out BENCH_23.json
 """
 
 from __future__ import annotations
@@ -98,11 +100,16 @@ OPS = ("row_add", "row_swap", "row_neg", "col_adds", "col_swap")
 
 def _count_ops(fn):
     """The elementary operations of the Smith reductions that one call of
-    fn runs, counted by a subclass of the workspace ``intmat._Work`` and a
-    wrapper of ``intmat._axpy`` put in for the call."""
+    fn runs, as {name: count} over OPS, and the nonzeros their sparse
+    a += q*b calls read, counted by a subclass of the workspace
+    ``intmat._Work`` and a wrapper of ``intmat._axpy`` put in for the call.
+    The operations are fixed by the pivots; the nonzeros read also fall
+    when the workspace skips work, so only the operations say whether two
+    checkouts ran the same elimination."""
     from foldcob import intmat
 
-    counts = dict.fromkeys(OPS + ("axpy_nonzeros",), 0)
+    counts = dict.fromkeys(OPS, 0)
+    nonzeros = 0
     work, axpy = intmat._Work, intmat._axpy
 
     def counted(name):
@@ -112,7 +119,8 @@ def _count_ops(fn):
         return op
 
     def counting_axpy(a, b, q):
-        counts["axpy_nonzeros"] += len(b)
+        nonlocal nonzeros
+        nonzeros += len(b)
         axpy(a, b, q)
 
     intmat._Work = type("CountingWork", (work,),
@@ -122,7 +130,7 @@ def _count_ops(fn):
         fn()
     finally:
         intmat._Work, intmat._axpy = work, axpy
-    return counts
+    return counts, nonzeros
 
 
 def bench_matrices(gen, rng):
@@ -136,10 +144,11 @@ def bench_matrices(gen, rng):
             mul_s = _timed(lambda: m.mul(mt))
             snf_s = _timed(lambda: snf_with_inverses(m))
             u, _, v, uinv, vinv = snf_with_inverses(m)
+            ops, nonzeros = _count_ops(lambda: snf_with_inverses(m))
             out.append({"family": family, "rows": m.rows, "cols": m.cols,
                         "mul_s": mul_s, "snf_s": snf_s,
                         "max_bits": _bits(u, v, uinv, vinv),
-                        "ops": _count_ops(lambda: snf_with_inverses(m))})
+                        "ops": ops, "axpy_nonzeros": nonzeros})
     return out
 
 
@@ -164,7 +173,7 @@ def bench_homology(gen, rng):
         for name, c in (("homology", cx), ("homology_z2dual", dual)):
             run = lambda: [compute(c, deg) for deg in range(3)]
             row[name + "_s"] = _timed(run)
-            row[name + "_ops"] = _count_ops(run)
+            row[name + "_ops"], row[name + "_axpy_nonzeros"] = _count_ops(run)
         out.append(row)
     return out
 
@@ -301,11 +310,24 @@ def sample(src):
             "cli": bench_cli(gen, random.Random(SEED), src)}
 
 
+def _rows(run, key):
+    """Every value under key of a run's SNF rows and, prefixed with
+    homology_ or homology_z2dual_, of its homology rows, in order."""
+    return ([row.get(key) for row in run.get("matrices", [])]
+            + [row.get(f"{name}_{key}") for row in run.get("homology", [])
+               for name in ("homology", "homology_z2dual")])
+
+
 def _ops(run):
-    """Every operation count of a run, in order."""
-    return ([row.get("ops") for row in run.get("matrices", [])]
-            + [[row.get("homology_ops"), row.get("homology_z2dual_ops")]
-               for row in run.get("homology", [])])
+    """Every count of OPS in a run, in order, without the nonzeros read
+    (which older runs kept among them)."""
+    return [ops and {name: ops.get(name) for name in OPS}
+            for ops in _rows(run, "ops")]
+
+
+def _nonzeros(run):
+    """The nonzeros that a run's sparse a += q*b calls read, summed."""
+    return sum(n or 0 for n in _rows(run, "axpy_nonzeros"))
 
 
 def _outputs(run):
@@ -382,6 +404,8 @@ def main(argv=None):
                                for run in doc["runs"].values()}) == 1
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(json.dumps(doc["runs"], indent=1))
+    print("axpy nonzeros read: " + ", ".join(
+        f"{label} {_nonzeros(run)}" for label, run in doc["runs"].items()))
     if not doc["same_ops"]:
         print("warning: the labels ran different Smith operations",
               file=sys.stderr)

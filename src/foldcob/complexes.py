@@ -259,9 +259,11 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """Homology (or cohomology, per direction) at the given degree.
 
     Two sparse Smith reductions: one of [d_out | relations], tracking only
-    v and v^-1, whose kernel columns of v are the cycle lattice and whose
-    matching rows of v^-1 give the coordinates of any cycle in it, and one
-    of the boundaries in those coordinates, tracking only u and u^-1.
+    v^-1 and the rows of v in the n coordinates of the degree, whose
+    kernel columns of v are then the cycle lattice (a kernel vector is
+    fixed by those coordinates) and whose matching rows of v^-1 give the
+    coordinates of any cycle in it, and one of the boundaries in those
+    coordinates, tracking only u and u^-1.
     Both inputs are built as sparse rows: the nonzeros of d_out with a 2
     in each relation slot of ``_out_slots``, and the lifted boundaries
     in cycle coordinates.
@@ -283,12 +285,13 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
         for r, c in slot.items():
             stacked[r][c] = 2
         cols += len(slot)
-    w = _smith(stacked, cols, v=True)
+    # v only in its rows < n: the relation rows are dropped below anyway
+    w = _smith(stacked, cols, v=n)
     diag = w.diagonal()
     ker = [j for j in range(cols) if j >= len(diag) or diag[j] == 0]
     # u*m*v = s makes every other coordinate of a kernel vector vanish, and
     # dropping the relation rows is injective on the kernel
-    k_basis = [{i: x for i, x in w.v[j].items() if i < n} for j in ker]
+    k_basis = [w.v[j] for j in ker]
     to_cycle = [w.vinv[j] for j in ker]
     inn = cx.in_diff(deg)
     b = list(inn[0].sparse_columns) if inn is not None else []

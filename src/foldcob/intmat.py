@@ -12,11 +12,15 @@ Every elementary row or column operation moves whole rows of the first
 three and whole columns of the other two, so it is one sparse
 a += q*b, a list swap or a negation per matrix, and costs only the
 nonzeros it touches.  Pivots depend on s alone, so ``_smith`` tracks
-only the sides its caller reads: homology's reduction of a differential
-beside its torsion relations tracks v and v^-1, its reduction of the
-boundaries in cycle coordinates u and u^-1, ``cokernel_is_trivial``
-neither.  ``_smith`` takes its input as sparse rows, which homology
-builds directly; ``snf_with_inverses`` tracks both sides and scatters
+only the sides its caller reads, and an untracked side holds nothing and
+costs no call: homology's reduction of a differential beside its torsion
+relations tracks v^-1 and v, its reduction of the boundaries in cycle
+coordinates u and u^-1, ``cokernel_is_trivial`` neither.  Homology reads
+v only in the n coordinates of its complex, not in those of the
+relations, so it keeps v's first n rows only: a column operation acts on
+each row of v on its own, and those rows come out as in the full v.
+``_smith`` takes its input as sparse rows, which homology builds
+directly; ``snf_with_inverses`` tracks both sides in full and scatters
 the five results into dense rows once, at the end.
 
 The reduction also visits only the rows of s that can be nonzero where
@@ -24,8 +28,11 @@ it works.  At step t the rows above t are zero from column t on, so a
 column operation starts at row t.  Below t, after an elimination pass
 down column t, exactly the rows left with a nonzero remainder can be
 nonzero there; a row swap exchanges row t with one of them and keeps
-that set, while a column swap brings in another column, whose nonzero
-rows are found by a scan.
+that set, and a column swap, which visits every row from t on anyway,
+returns the rows nonzero in the column it brings in.  A pivot of +-1
+divides exactly: each quotient is the entry times the pivot, no
+remainder is left, and the pivot's row and column are cleared in one
+pass each, with no division.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @staticmethod
     def from_rows(rows, cols=None):
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [_int_row(r, i) for i, r in enumerate(rows)]
         if cols is None:
             if not rows:
                 raise ValueError("cannot infer column count of empty matrix")
@@ -118,13 +125,25 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return IntMatrix(len(row_idx), len(col_idx), data)
 
 
+def _int_row(row, i):
+    """Row i as a tuple of ints; ValueError naming the row and column of
+    the first entry that int() would change, such as 1.5 or "3"."""
+    row = tuple(row)
+    ints = tuple(map(int, row))
+    if ints != row:    # one comparison for the whole row
+        j = next(j for j, (a, x) in enumerate(zip(ints, row)) if a != x)
+        raise ValueError(f"entry at row {i}, column {j} is not an integer: "
+                         f"{row[j]!r}")
+    return ints
+
+
 def from_columns(cols, rows):
     """Build a matrix from a list of column vectors (rows = row count)."""
     if any(len(c) != rows for c in cols):
         raise ValueError("column length mismatch")
     if not cols:
         return IntMatrix.zero(rows, 0)
-    data = tuple(tuple(map(int, r)) for r in zip(*cols))
+    data = tuple(_int_row(r, i) for i, r in enumerate(zip(*cols)))
     return IntMatrix(rows, len(cols), data)
 
 
@@ -152,47 +171,68 @@ class _Work:
     the column operations on s cross its rows, a lookup or two per row:
     the rows an addition is given, and for a swap of columns t < j the
     rows from t on.
-    An untracked side (u, u^-1 unless ``u``; v, v^-1 unless ``v``) starts
-    as zero vectors, which every operation leaves zero.
+    An untracked side is None (u and u^-1 unless ``u``; v and v^-1 when
+    ``v`` is None) and no operation touches it.  v keeps only its rows
+    < ``v``: a column operation acts on each row of v on its own, so v's
+    columns start as the first ``v`` rows of the identity, and those rows
+    come out as they would in the full v.
     """
 
-    def __init__(self, rows, nc, u: bool, v: bool):
+    def __init__(self, rows, nc, u: bool, v: int | None):
         self.nr, self.nc = len(rows), nc
         self.s = rows
-        self.u = [{i: 1} if u else {} for i in range(self.nr)]
-        self.uinv = [{i: 1} if u else {} for i in range(self.nr)]
-        self.v = [{j: 1} if v else {} for j in range(self.nc)]
-        self.vinv = [{j: 1} if v else {} for j in range(self.nc)]
+        self.u = self.uinv = self.v = self.vinv = None
+        if u:
+            self.u = [{i: 1} for i in range(self.nr)]
+            self.uinv = [{i: 1} for i in range(self.nr)]
+        if v is not None:
+            self.v = [{j: 1} if j < v else {} for j in range(nc)]
+            self.vinv = [{j: 1} for j in range(nc)]
 
     def diagonal(self):
         return [self.s[i].get(i, 0) for i in range(min(self.nr, self.nc))]
 
     def row_swap(self, i, j):
-        for rows in (self.s, self.u, self.uinv):
-            rows[i], rows[j] = rows[j], rows[i]
+        s = self.s
+        s[i], s[j] = s[j], s[i]
+        if self.u is not None:
+            for rows in (self.u, self.uinv):
+                rows[i], rows[j] = rows[j], rows[i]
 
     def row_neg(self, i):
-        for vec in (self.s[i], self.u[i], self.uinv[i]):
+        vecs = (self.s[i],) if self.u is None else (
+            self.s[i], self.u[i], self.uinv[i])
+        for vec in vecs:
             for k in vec:
                 vec[k] = -vec[k]
 
     def row_add(self, i, j, q):
         # row i += q * row j, so column j of u^-1 -= q * column i
         _axpy(self.s[i], self.s[j], q)
-        _axpy(self.u[i], self.u[j], q)
-        _axpy(self.uinv[j], self.uinv[i], -q)
+        if self.u is not None:
+            _axpy(self.u[i], self.u[j], q)
+            _axpy(self.uinv[j], self.uinv[i], -q)
 
     def col_swap(self, t, j):
-        # rows above t are zero from column t on, so neither column is there
-        for r in self.s[t:]:
+        """Swap columns t < j; return, in order, the rows below t that are
+        then nonzero in column t.  Rows above t are zero from column t on,
+        so neither column is there, and the swap visits only rows from t
+        on: the same pass finds those rows."""
+        s, below = self.s, []
+        for i in range(t, self.nr):
+            r = s[i]
             if t in r or j in r:
                 a, b = r.pop(t, 0), r.pop(j, 0)
                 if a:
                     r[j] = a
                 if b:
                     r[t] = b
-        for cols in (self.v, self.vinv):
-            cols[t], cols[j] = cols[j], cols[t]
+                    if i > t:
+                        below.append(i)
+        if self.v is not None:
+            for cols in (self.v, self.vinv):
+                cols[t], cols[j] = cols[j], cols[t]
+        return below
 
     def col_adds(self, j, ops, rows):
         """col i += ops[i] * col j for every key i of the dict ops (not j).
@@ -203,15 +243,29 @@ class _Work:
         for i in rows:
             r = self.s[i]
             _axpy(r, ops, r[j])
-        for i, q in ops.items():
-            _axpy(self.v[i], self.v[j], q)
-            _axpy(self.vinv[j], self.vinv[i], -q)
+        if self.v is not None:
+            v, vinv = self.v, self.vinv
+            vj = v[j]
+            for i, q in ops.items():
+                if vj:
+                    _axpy(v[i], vj, q)
+                _axpy(vinv[j], vinv[i], -q)
 
 
 def _nearest_quotient(x, p):
     """The integer q nearest to x / p, so that |x - q*p| <= |p| / 2."""
     q, r = divmod(x, p)
     return q + 1 if 2 * abs(r) > abs(p) else q
+
+
+def _first_offender(s, t, p):
+    """The first row below t with an entry that p does not divide, or
+    None."""
+    for i in range(t + 1, len(s)):
+        for x in s[i].values():
+            if x % p:
+                return i
+    return None
 
 
 def _reduce(w: _Work):
@@ -222,8 +276,9 @@ def _reduce(w: _Work):
     # from column t on, so "nonempty" below means "nonzero in the block".
     # ``col`` lists, in order, the rows below t that are nonzero in column
     # t: a pass keeps the rows left with a remainder, a row swap moves row
-    # t into one of them and so keeps the list, and a column swap brings
-    # in a new column, which is scanned afresh (col = None).
+    # t into one of them and so keeps the list, and a column swap returns
+    # the list for the column it brings in.  Only a pivot that needs no
+    # column swap has its column scanned.
     nr, nc, s = w.nr, w.nc, w.s
     t = 0
     while t < min(nr, nc):
@@ -237,12 +292,20 @@ def _reduce(w: _Work):
         if i != t:
             w.row_swap(t, i)
         if j != t:
-            w.col_swap(t, j)
-        col = None
+            col = w.col_swap(t, j)
+        else:
+            col = [i for i in range(t + 1, nr) if t in s[i]]
         while True:
             p = s[t][t]
-            if col is None:
-                col = [i for i in range(t + 1, nr) if t in s[i]]
+            if p == 1 or p == -1:
+                # a unit divides exactly: each quotient is p*x and leaves
+                # no remainder, so the row and column of t end clear
+                for i in col:
+                    w.row_add(i, t, -p * s[i][t])
+                ops = {j: -p * x for j, x in s[t].items() if j != t}
+                if ops:
+                    w.col_adds(t, ops, [t])
+                break
             # a zero quotient (|entry| <= |p| / 2) would add nothing
             rest = []
             for i in col:
@@ -265,14 +328,11 @@ def _reduce(w: _Work):
             if i != t:
                 w.row_swap(t, i)
             else:
-                w.col_swap(t, j)
-                col = None
+                col = w.col_swap(t, j)
         # force divisibility towards the rest of the block (a unit divides
         # everything)
         p = s[t][t]
-        offender = None if abs(p) == 1 else next(
-            (i for i in range(t + 1, nr) if any(x % p for x in s[i].values())),
-            None)
+        offender = None if p == 1 or p == -1 else _first_offender(s, t, p)
         if offender is not None:
             w.row_add(t, offender, 1)
             continue
@@ -297,10 +357,11 @@ def _sparse_rows(m: IntMatrix):
     return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
 
 
-def _smith(rows, nc, u=False, v=False) -> _Work:
+def _smith(rows, nc, u=False, v=None) -> _Work:
     """The matrix with the sparse ``rows`` (taken over and reduced in
     place) and nc columns reduced to s = diag(d1 | d2 | ...) in a sparse
-    workspace that tracks u, u^-1 only if ``u`` and v, v^-1 only if ``v``."""
+    workspace that tracks u, u^-1 only if ``u``, and v^-1 and the first
+    ``v`` rows of v unless ``v`` is None (``v`` = nc tracks all of v)."""
     w = _Work(rows, nc, u, v)
     _reduce(w)
     return w
@@ -311,7 +372,7 @@ def snf_with_inverses(m: IntMatrix):
 
     Returns (u, s, v, uinv, vinv).
     """
-    w = _smith(_sparse_rows(m), m.cols, u=True, v=True)
+    w = _smith(_sparse_rows(m), m.cols, u=True, v=m.cols)
     nr, nc = w.nr, w.nc
     rows = lambda vecs, n: IntMatrix(len(vecs), n, _dense(vecs, n))
     # v and u^-1 are square and held by columns

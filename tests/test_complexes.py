@@ -163,7 +163,7 @@ def _count_reductions(monkeypatch):
     """Record the sides each Smith reduction of homology tracks."""
     calls = []
 
-    def counting(rows, nc, u=False, v=False):
+    def counting(rows, nc, u=False, v=None):
         calls.append((u, v))
         return _smith(rows, nc, u=u, v=v)
 
@@ -184,8 +184,9 @@ def test_homology_runs_two_snfs_and_express_class_none(monkeypatch):
         calls.clear()
         homology(cx, deg)
         assert len(calls) == 2
-        # v, v^-1 of the first reduction, u, u^-1 of the second
-        assert calls == [(False, True), (True, False)]
+        # v^-1 and v's rows < n of the first reduction, u, u^-1 of the
+        # second
+        assert calls == [(False, cx.n(deg)), (True, None)]
     calls.clear()
     assert express_class(cx, 1, (0, 1)) == (1,)
     assert express_class(cx, 0, (3,)) == (1,)

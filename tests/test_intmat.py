@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foldcob.complexes import Direction, RingTag, make_complex
 from foldcob.intmat import (IntMatrix, cokernel_is_trivial, diagonal,
                             from_columns, snf_with_inverses)
 
@@ -203,6 +204,26 @@ def test_cokernel():
     assert not cokernel_is_trivial(IntMatrix.from_rows([[2]]))
     assert not cokernel_is_trivial(IntMatrix.zero(2, 1))
     assert cokernel_is_trivial(IntMatrix.zero(0, 3))
+
+
+def test_non_integer_entries_are_refused():
+    # int() would truncate 1.5 to 1 and turn "3" into 3: both are refused,
+    # naming the entry's row and column
+    for bad, where in (([[1.5]], "row 0, column 0"),
+                       ([[1, 2], [3, "3"]], "row 1, column 1")):
+        with pytest.raises(ValueError, match=where):
+            IntMatrix.from_rows(bad)
+    with pytest.raises(ValueError, match="row 1, column 0"):
+        from_columns([(1, 2.5), (0, 0)], 2)
+    with pytest.raises(ValueError, match="row 0, column 0"):
+        make_complex(Direction.HOMOLOGICAL,
+                     [[("x", RingTag.FREE)], [("y", RingTag.FREE)]],
+                     [{"y": {"x": 1.5}}])
+    # entries equal to their int() are kept, as ints
+    assert_identical(IntMatrix.from_rows([[1.0, True, -2]]),
+                     IntMatrix(1, 3, ((1, 1, -2),)))
+    assert_identical(from_columns([[2.0], [False]], 1),
+                     IntMatrix(1, 2, ((2, 0),)))
 
 
 def test_shape_errors():

@@ -52,8 +52,8 @@ matrices = st.one_of(
 
 
 @settings(max_examples=400, deadline=None)
-@given(matrices)
-def test_sparse_engine_matches_dense_reference(m):
+@given(matrices, st.data())
+def test_sparse_engine_matches_dense_reference(m, data):
     got = snf_with_inverses(m)
     want = ref.snf_with_inverses(m)
     assert got == want
@@ -61,12 +61,23 @@ def test_sparse_engine_matches_dense_reference(m):
         assert type(g.entries) is tuple
         assert all(type(row) is tuple for row in g.entries)
     # pivots depend on s alone: tracking one side or neither ends with the
-    # same s and the same transforms on the tracked side
-    for u, v in ((True, False), (False, True), (False, False)):
+    # same s and the same transforms on the tracked side; v is held by
+    # columns, and v = k keeps only v's rows < k
+    v_cols = want[2].columns()
+    k = data.draw(st.integers(0, m.cols), label="k")
+    for u, v in ((True, None), (False, m.cols), (False, None), (False, k)):
         w = _smith(_sparse_rows(m), m.cols, u=u, v=v)
         assert _dense(w.s, m.cols) == want[1].entries
-        assert not u or _dense(w.u, m.rows) == want[0].entries
-        assert not v or _dense(w.vinv, m.cols) == want[4].entries
+        if u:
+            assert _dense(w.u, m.rows) == want[0].entries
+            assert _dense(w.uinv, m.rows) == tuple(want[3].columns())
+        else:
+            assert w.u is None and w.uinv is None
+        if v is None:
+            assert w.v is None and w.vinv is None
+        else:
+            assert _dense(w.v, v) == tuple(c[:v] for c in v_cols)
+            assert _dense(w.vinv, m.cols) == want[4].entries
 
 
 def _triangle_complex(rng, nverts, ntris):
