@@ -7,16 +7,19 @@ generators are ordered by class name (ASCII lexicographic) with ``o``
 before ``e``; ``A`` is appended last.
 
 The n=2 complexes (CO21, C21_Z2 and the source of the suspension chain
-map) are the degree-0 and degree-1 truncations of the n=3 ones.  CO32
-and C32_Z2 stay typed out by hand, although they are the duals of V32:
-they are the independent reference that hom_dual(V32) is checked against.
+map) are the degree-0 and degree-1 truncations of the n=3 ones.  The closed
+cochain catalogs are duals of V32, whose two differentials are the one
+closed-catalog table here: CO32 is Hom(V32, Z) and C32_Z2 is
+Hom(V32, Z2).  The hand-typed reference they are tested against lives
+with the tests.
 
 CO32_ORI, SCO32 and SCO32_ORI are aliases of CO32: ``catalog`` returns
 the CO32 object for them, built and checked once.  CO32 holds only the
 co-orientable classes (``_COOR_CLOSED``).  The simple-stable-map catalogs
-leave out only the class II6 (``_c32_z2(simple=True)``), which is not
-co-orientable, so they leave CO32 as it is; and no table here separates
-the oriented ids from the unoriented ones.
+leave out only the class II6 (C32_Z2_SIMPLE is the Z2 dual of
+``_v32(simple=True)``), which is not co-orientable, so they leave CO32 as
+it is; and no table here separates the oriented ids from the unoriented
+ones.
 
 CUSP32 and BCUSP32 orient the cusp class IIa oppositely: from I0 and I1
 to II01 and IIa, BCUSP32's coboundary is CUSP32's with IIa_o and IIa_e
@@ -68,10 +71,6 @@ def _free(_lbl):
     return RingTag.FREE
 
 
-def _z2(_lbl):
-    return RingTag.TWO_TORSION
-
-
 # degree-2 classes of the closed three-to-two catalogs (Z2 / mixed side)
 _DEG2_CLOSED = ["II00", "II01", "II02", "II11", "II12", "II22",
                 "II3", "II4", "II5", "II6", "II7"]
@@ -105,52 +104,21 @@ def _both(formula_per_class):
     return out
 
 
-_ALL_FOLDS = {"I0_o": 1, "I0_e": 1, "I1_o": 1, "I1_e": 1}
-# the integer coboundary out of degree 0 of the closed catalogs
-_DELTA0 = {"0_o": dict(_ALL_FOLDS),
-           "0_e": {k: -v for k, v in _ALL_FOLDS.items()}}
-
-
 def _truncated(cx: MixedComplex) -> MixedComplex:
     """The n=2 complex of an n=3 one: degrees 0 and 1 and the
     differential between them."""
     return MixedComplex(cx.direction, cx.generators[:2], cx.differentials[:1])
 
 
-# the integer coboundary out of degree 1 of CO32; CUSP32 and BCUSP32 add
-# their cusp and boundary terms to it
+# CO32's integer coboundaries out of degrees 0 and 1, for the cusp
+# catalogs: CUSP32 takes _DELTA0, and CUSP32 and BCUSP32 add their cusp
+# and boundary terms to _CO32_D1.  The selftest checks them against CO32,
+# the dual of V32: the maps by names from CUSP32 and BCUSP32 to CO32 are
+# chain maps.
+_DELTA0 = {"0_o": dict.fromkeys(_ordered(["I0", "I1"]), 1),
+           "0_e": dict.fromkeys(_ordered(["I0", "I1"]), -1)}
 _CO32_D1 = _both({"I0": {"II01_o": 1, "II01_e": -1},
                   "I1": {"II01_o": -1, "II01_e": 1}})
-
-
-def _co32():
-    return make_complex(
-        Direction.COHOMOLOGICAL,
-        [_gens(_ordered(["0"]), _free),
-         _gens(_ordered(["I0", "I1"]), _free),
-         _gens(_ordered(["II01"]), _free)],
-        [_DELTA0, _CO32_D1])
-
-
-_Z2_DELTA1 = _both({
-    "I0": {"II01_o": 1, "II01_e": 1},
-    "I1": {"II01_o": 1, "II01_e": 1},
-    "I2": {"II02_o": 1, "II02_e": 1, "II12_o": 1, "II12_e": 1,
-           "II6_o": 1, "II6_e": 1},
-})
-
-
-def _c32_z2(simple=False):
-    deg2 = [n for n in _DEG2_CLOSED if not (simple and n == "II6")]
-    delta1 = {src: {t: c for t, c in img.items()
-                    if not (simple and t.startswith("II6_"))}
-              for src, img in _Z2_DELTA1.items()}
-    return make_complex(
-        Direction.COHOMOLOGICAL,
-        [_gens(_ordered(["0"]), _z2),
-         _gens(_ordered(["I0", "I1", "I2"]), _z2),
-         _gens(_ordered(deg2), _z2)],
-        [{"0_o": _ALL_FOLDS, "0_e": _ALL_FOLDS}, delta1])
 
 
 _V32_D1 = _both({
@@ -176,13 +144,17 @@ def _v32_ring(lbl):
     return RingTag.FREE if name in _COOR_CLOSED else RingTag.TWO_TORSION
 
 
-def _v32():
+def _v32(simple=False):
+    """V32, or with simple=True V32 without the class II6."""
+    deg2 = [n for n in _DEG2_CLOSED if not (simple and n == "II6")]
+    d2 = {src: img for src, img in _V32_D2.items()
+          if not (simple and src.startswith("II6_"))}
     return make_complex(
         Direction.HOMOLOGICAL,
         [_gens(_ordered(["0"]), _v32_ring),
          _gens(_ordered(["I0", "I1", "I2"]), _v32_ring),
-         _gens(_ordered(_DEG2_CLOSED), _v32_ring)],
-        [_V32_D1, _V32_D2])
+         _gens(_ordered(deg2), _v32_ring)],
+        [_V32_D1, d2])
 
 
 def _f32():
@@ -236,10 +208,12 @@ _ALIASES = dict.fromkeys(
     (CatalogId.CO32_ORI, CatalogId.SCO32, CatalogId.SCO32_ORI), CatalogId.CO32)
 
 _BUILDERS = {
-    CatalogId.CO32: _co32,
+    CatalogId.CO32: lambda: hom_dual(catalog(CatalogId.V32), RingTag.FREE),
     CatalogId.CO21: lambda: _truncated(catalog(CatalogId.CO32)),
-    CatalogId.C32_Z2: _c32_z2,
-    CatalogId.C32_Z2_SIMPLE: lambda: _c32_z2(simple=True),
+    CatalogId.C32_Z2: lambda: hom_dual(catalog(CatalogId.V32),
+                                       RingTag.TWO_TORSION),
+    CatalogId.C32_Z2_SIMPLE: lambda: hom_dual(_v32(simple=True),
+                                              RingTag.TWO_TORSION),
     CatalogId.C21_Z2: lambda: _truncated(catalog(CatalogId.C32_Z2)),
     CatalogId.V32: _v32,
     CatalogId.F32: _f32,

@@ -138,9 +138,19 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
         src, tgt = shell.ends(i)
         m = [[0] * len(gens[src]) for _ in range(len(gens[tgt]))]
         for sname, image in formula.items():
-            c = index[src][sname]
+            c = index[src].get(sname)
+            if c is None and not image:
+                raise ComplexError(f"differential {i}: unknown generator "
+                                   f"{sname!r}")
             for tname, coeff in image.items():
-                m[index[tgt][tname]][c] += coeff
+                r = index[tgt].get(tname)
+                try:    # an unknown name indexes with None
+                    m[r][c] += coeff
+                except TypeError:
+                    raise ComplexError(
+                        f"differential {i}, {sname!r} -> {tname!r}: " +
+                        ("unknown generator" if None in (r, c) else
+                         f"coefficient {coeff!r} is not an integer")) from None
         mats.append(IntMatrix.from_rows(m, len(gens[src])))
     return MixedComplex(direction, gens, tuple(mats))
 

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from foldcob.catalog import (CatalogId, _name_map, catalog,
@@ -8,6 +10,7 @@ from foldcob.complexes import (ComplexError, Direction, RingTag, hom_dual,
                                homology, validate_complex)
 from foldcob.intmat import IntMatrix, cokernel_is_trivial
 
+import catalog_reference
 from snf_reference import relations
 
 
@@ -74,6 +77,21 @@ def test_simple_catalog_is_the_filtered_full_catalog():
     filtered = full.differentials[1].submatrix(keep, range(full.n(1)))
     assert filtered == simple.differentials[1]
     assert full.differentials[0] == simple.differentials[0]
+
+
+_REFERENCE = {
+    CatalogId.CO32: catalog_reference.co32,
+    CatalogId.C32_Z2: catalog_reference.c32_z2,
+    CatalogId.C32_Z2_SIMPLE: functools.partial(catalog_reference.c32_z2,
+                                               simple=True),
+}
+
+
+@pytest.mark.parametrize("cid", list(_REFERENCE), ids=lambda c: c.value)
+def test_closed_cochain_catalogs_equal_the_typed_reference(cid):
+    # the catalogs are duals of V32; they equal the typed tables as
+    # objects: the generators, their order and every matrix
+    assert catalog(cid) == _REFERENCE[cid]()
 
 
 def test_every_catalog_validates():

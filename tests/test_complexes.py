@@ -471,3 +471,19 @@ def test_chain_map_violations_name_their_cause(source, target, matrices,
 def test_hom_dual_refuses_a_cochain_complex():
     with pytest.raises(ComplexError, match="expects a homological complex"):
         hom_dual(_point(_COH), RingTag.FREE)
+
+
+@pytest.mark.parametrize("diff, message", [
+    ({"y": {"x": "3"}},
+     "differential 0, 'y' -> 'x': coefficient '3' is not an integer"),
+    ({"q": {"x": 1}}, "differential 0, 'q' -> 'x': unknown generator"),
+    ({"y": {"q": 1}}, "differential 0, 'y' -> 'q': unknown generator"),
+    ({"q": {}}, "differential 0: unknown generator 'q'"),
+])
+def test_make_complex_names_the_bad_entry(diff, message):
+    # a float such as 1.5 keeps the ValueError of IntMatrix.from_rows,
+    # naming its row and column (tests/test_intmat.py)
+    with pytest.raises(ComplexError) as info:
+        make_complex(Direction.HOMOLOGICAL,
+                     [[("x", RingTag.FREE)], [("y", RingTag.FREE)]], [diff])
+    assert str(info.value) == message
