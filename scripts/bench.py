@@ -18,6 +18,10 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   while the nonzeros read fall when a checkout skips work, and their sum
   per label is printed on a line of its own;
 - ``express_class`` on one reused Klein-bottle presentation;
+- for every catalog id in every degree, ``homology``, bypassing the cache,
+  with the operations of its Smith reductions counted as above, and
+  ``express_class`` per query over the basis cycles of its presentation,
+  each of which must come out as its unit vector;
 - ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
   ``from_reeb``, ``diagram_to_json``, ``diagram_from_json`` and
   ``cusp_count_closed`` on nonorientable ``gen.reeb_case`` graphs of
@@ -202,6 +206,34 @@ def bench_express(gen, rng):
             "per_query_s": per_query / QUERIES}
 
 
+def bench_catalogs():
+    from foldcob.catalog import CatalogId, catalog
+    from foldcob.complexes import express_class, homology
+
+    compute = homology.__wrapped__    # no cache: every run computes
+    out = []
+    for cid in CatalogId:
+        cx = catalog(cid)
+        for deg in range(cx.top_degree + 1):
+            run = lambda: compute(cx, deg)
+            ops, nonzeros = _count_ops(run)
+            row = {"id": cid.value, "degree": deg, "homology_s": _timed(run),
+                   "homology_ops": ops, "homology_axpy_nonzeros": nonzeros}
+            pres = homology(cx, deg)
+            for j, cyc in enumerate(pres.basis_cycles):
+                unit = tuple(int(i == j) for i in range(pres.rank))
+                if express_class(cx, deg, cyc) != unit:
+                    sys.exit(f"error: express_class gave a wrong class "
+                             f"on {cid.value} in degree {deg}")
+            row["queries"] = pres.rank
+            if pres.rank:
+                row["express_per_query_s"] = _timed(
+                    lambda: [express_class(cx, deg, cyc)
+                             for cyc in pres.basis_cycles]) / pres.rank
+            out.append(row)
+    return out
+
+
 def bench_surface(gen, rng):
     from foldcob.diagrams import (cusp_count_closed, diagram_from_json,
                                   diagram_to_json, from_reeb)
@@ -306,16 +338,19 @@ def sample(src):
     return {"matrices": bench_matrices(gen, rng),
             "homology": bench_homology(gen, rng),
             "express": bench_express(gen, rng),
+            "catalogs": bench_catalogs(),
             "surface": bench_surface(gen, random.Random(SEED)),
             "cli": bench_cli(gen, random.Random(SEED), src)}
 
 
 def _rows(run, key):
     """Every value under key of a run's SNF rows and, prefixed with
-    homology_ or homology_z2dual_, of its homology rows, in order."""
+    homology_ or homology_z2dual_, of its surface and catalog homology
+    rows, in order."""
     return ([row.get(key) for row in run.get("matrices", [])]
             + [row.get(f"{name}_{key}") for row in run.get("homology", [])
-               for name in ("homology", "homology_z2dual")])
+               for name in ("homology", "homology_z2dual")]
+            + [row.get(f"homology_{key}") for row in run.get("catalogs", [])])
 
 
 def _ops(run):

@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 from collections import namedtuple
 from enum import Enum
+from itertools import compress
 
-from .intmat import (IntMatrix, _axpy, _dense, _smith, _sparse_rows,
-                     cokernel_is_trivial, from_columns)
+from .intmat import (IntMatrix, _axpy, _dense, _int_row, _smith,
+                     _sparse_rows, cokernel_is_trivial, from_columns)
 
 
 class RingTag(Enum):
@@ -218,14 +219,16 @@ class AbelianGroupPresentation(namedtuple(
         "free_rank torsion basis_cycles coord_rows")):
     """Z^free_rank + Z/t1 + Z/t2 + ..., with one basis cycle per summand
     and the coordinate rows ``express_class`` reads: rank sparse rows,
-    fixed when the group is computed, so that a class costs one lift and
-    one dot product per coordinate.  Hashable, with a deterministic repr.
+    fixed when the group is computed, so that a class costs one pass over
+    the cycle to lift it and one sparse dot product per coordinate.
+    Hashable, with a deterministic repr.
 
     ``coord_rows`` holds one (modulus, row) per coordinate, free ones
-    (modulus 0) first: a coordinate of a cycle is the dot product of its
-    lift (see _lift) with the row, a sorted tuple of (column, nonzero
-    coefficient), taken mod the modulus; torsion rows are already reduced
-    mod theirs.
+    (modulus 0) first: a coordinate of a cycle is the dot product of the
+    row, a sorted tuple of (column, nonzero coefficient), with the cycle's
+    lift into the kernel of [d_out | relations], the cycle's entries
+    followed by the relation part _lift gives, taken mod the modulus;
+    torsion rows are already reduced mod theirs.
     """
 
     __slots__ = ()
@@ -240,28 +243,32 @@ def _check_degree(cx: MixedComplex, deg: int):
         raise ComplexError(f"degree {deg} out of range 0..{cx.top_degree}")
 
 
-def _lift(cx: MixedComplex, deg: int, x: dict):
-    """x followed by y with d_out x + 2y = 0 on the torsion targets.
+def _lift(cx: MixedComplex, deg: int, x):
+    """The relation part y of the lift of x, or None if x is not a cycle.
 
-    Both are sparse, {index: nonzero}.  This is the unique preimage of x in
-    the kernel of [d_out | relations]; None when x is not a cycle, that is
-    when d_out x has a nonzero free entry or an odd torsion entry.
+    x is a chain given by its nonzero (index, entry) pairs, read once.
+    x followed by y is the unique preimage of x in the kernel of
+    [d_out | relations]: y, as {column of its relation: nonzero}, solves
+    d_out x + 2y = 0 on the torsion targets.  d_out x is summed into a
+    list by target row, whose nonzero rows decide: x is no cycle when one
+    is a free row or holds an odd entry.
     """
     out = cx._out_slots[deg]
     if out is None:
-        return dict(x)
+        return {}
     d_out, slot = out
-    image = {}
-    for j, c in x.items():
-        for i, a in d_out.sparse_columns[j].items():
-            image[i] = image.get(i, 0) + c * a
-    lifted = dict(x)
-    for i, e in image.items():
-        if e:
-            if i not in slot or e % 2:
-                return None
-            lifted[slot[i]] = -e // 2
-    return lifted
+    image = [0] * d_out.rows
+    cols = d_out.sparse_columns
+    for j, c in x:
+        for i, a in cols[j]:
+            image[i] += c * a
+    y = {}
+    for i in compress(range(d_out.rows), image):
+        e = image[i]
+        if i not in slot or e % 2:
+            return None
+        y[slot[i]] = -e // 2
+    return y
 
 
 @functools.lru_cache(maxsize=64)
@@ -276,7 +283,10 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     coordinates, tracking only u and u^-1.
     Both inputs are built as sparse rows: the nonzeros of d_out with a 2
     in each relation slot of ``_out_slots``, and the lifted boundaries
-    in cycle coordinates.
+    in cycle coordinates.  Each boundary, a sparse column of the
+    differential entering the degree or a torsion relation 2e, is lifted
+    by ``_lift`` from its few nonzeros, and its relation part is appended
+    to them, so the lifts stay sparse (pairs of column and nonzero).
     Column i of u^-1 gives basis cycle i, and row i of u composed with
     the kernel rows of v^-1 the coordinate row i; both are formed only
     for the rank positions the group keeps, and stay sparse.
@@ -305,10 +315,13 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     to_cycle = [w.vinv[j] for j in ker]
     inn = cx.in_diff(deg)
     b = list(inn[0].sparse_columns) if inn is not None else []
-    b += [{i: 2} for i in cx.torsion_indices(deg)]
-    lifts = [_lift(cx, deg, col) for col in b]
-    if None in lifts:
-        raise ComplexError("image does not lie in the cycle lattice")
+    b += [((i, 2),) for i in cx.torsion_indices(deg)]
+    lifts = []
+    for col in b:
+        rel = _lift(cx, deg, col)
+        if rel is None:
+            raise ComplexError("image does not lie in the cycle lattice")
+        lifts.append((*col, *rel.items()))
     # y = to_cycle * lifts, reading to_cycle by the columns it is nonzero in
     by_col = {}
     for r, row in enumerate(to_cycle):
@@ -316,7 +329,7 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
             by_col.setdefault(m, []).append((r, x))
     y = [{} for _ in ker]
     for c, lift in enumerate(lifts):
-        for m, a in lift.items():
+        for m, a in lift:
             for r, x in by_col.get(m, ()):
                 y[r][c] = y[r].get(c, 0) + a * x
     w2 = _smith([{c: x for c, x in row.items() if x} for row in y],
@@ -352,27 +365,42 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
 def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
     """Coordinates of a cycle's class in the homology basis.
 
-    The cycle is lifted into the kernel of [d_out | relations] and each
-    coordinate is the lift's dot product with one coordinate row of the
-    presentation, so a query costs rank sparse dot products and no
-    reduction.  Free coordinates are exact integers; torsion coordinates
-    are reduced modulo their coefficient.  Raises ComplexError if the
-    vector does not have one entry per generator of the degree and
-    NotACycleError if it is not a cycle of the complex.
+    The dense cycle is read once: its nonzero (index, entry) pairs go to
+    _lift, and its entries followed by the relation part _lift returns
+    form the lift into the kernel of [d_out | relations], a dense list.
+    Each coordinate is the dot product of one coordinate row of the
+    presentation with the lift, indexed by the row's columns, so a query
+    costs one pass over the cycle, one over d_out's columns at its
+    nonzeros and rank sparse dot products, and no reduction.  Free
+    coordinates are exact integers; torsion coordinates are reduced
+    modulo their coefficient.  Raises ComplexError if the vector does not
+    have one entry per generator of the degree or holds an entry that
+    int() would change, naming it, and NotACycleError if it is not a
+    cycle of the complex.
     """
     pres = homology(cx, deg)
-    if len(cycle) != cx.n(deg):
+    n = cx.n(deg)
+    if len(cycle) != n:
         raise ComplexError(f"vector has {len(cycle)} entries, degree {deg} "
-                           f"has {cx.n(deg)} generators")
-    lifted = _lift(cx, deg, {j: c for j, c in enumerate(cycle) if c})
-    if lifted is None:
+                           f"has {n} generators")
+    try:
+        cycle = _int_row(cycle)
+    except ValueError as exc:
+        raise ComplexError(f"vector {exc}") from None
+    y = _lift(cx, deg, zip(compress(range(n), cycle), filter(None, cycle)))
+    if y is None:
         raise NotACycleError("vector is not a cycle at this degree")
-    get = lifted.get
-    out = []
+    lift = list(cycle)
+    out = cx._out_slots[deg]
+    if out is not None:
+        lift += [0] * len(out[1])
+    for j, e in y.items():
+        lift[j] = e
+    coords = []
     for d, row in pres.coord_rows:
-        x = sum(c * get(j, 0) for j, c in row)
-        out.append(x % d if d else x)
-    return tuple(out)
+        x = sum([c * lift[j] for j, c in row])
+        coords.append(x % d if d else x)
+    return tuple(coords)
 
 
 class ChainMap(namedtuple("ChainMap", "source target matrices")):

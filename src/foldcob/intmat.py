@@ -110,8 +110,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @cached_property
     def sparse_columns(self):
-        """Each column as a dict {row: nonzero}, built once per matrix."""
-        return tuple({i: x for i, x in enumerate(col) if x}
+        """Each column as a tuple of its (row, nonzero) pairs, built once
+        per matrix."""
+        return tuple(tuple((i, x) for i, x in enumerate(col) if x)
                      for col in self.columns())
 
     def apply(self, vec):
@@ -125,16 +126,30 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return IntMatrix(len(row_idx), len(col_idx), data)
 
 
-def _int_row(row, i):
+def _int_row(row, i=None):
     """Row i as a tuple of ints; ValueError naming the row and column of
-    the first entry that int() would change, such as 1.5 or "3"."""
+    the first entry that int() would change or refuses, such as 1.5, "3"
+    or None.  A vector, with no i, names the entry by its index alone."""
     row = tuple(row)
-    ints = tuple(map(int, row))
+    if {*map(type, row)} <= {int}:    # exact ints, as int() returns them
+        return row
+    try:
+        ints = tuple(map(int, row))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != row:    # one comparison for the whole row
-        j = next(j for j, (a, x) in enumerate(zip(ints, row)) if a != x)
-        raise ValueError(f"entry at row {i}, column {j} is not an integer: "
-                         f"{row[j]!r}")
+        j = next(j for j, x in enumerate(row) if not _is_int(x))
+        at = f"{j}" if i is None else f"at row {i}, column {j}"
+        raise ValueError(f"entry {at} is not an integer: {row[j]!r}")
     return ints
+
+
+def _is_int(x):
+    """Whether int() keeps x's value."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def from_columns(cols, rows):

@@ -322,6 +322,26 @@ def test_express_class_rejects_wrong_length():
         express_class(cx, 1, (1,))
 
 
+def test_express_class_refuses_entries_that_are_not_integers():
+    # int() would truncate 0.5 and turn "1" into 1, so both are refused by
+    # the rule IntMatrix.from_rows applies, naming the entry; 0.5 used to
+    # give the class (-0.5,) and "1" to escape as a bare TypeError
+    cx = make_complex(
+        Direction.HOMOLOGICAL,
+        [[("x", RingTag.FREE)], [("y", RingTag.FREE), ("w", RingTag.FREE)]],
+        [{"y": {"x": 1}, "w": {"x": 1}}])
+    for bad, message in (
+            ((0.5, -0.5), "vector entry 0 is not an integer: 0.5"),
+            (("1", -1), "vector entry 0 is not an integer: '1'"),
+            ((1, None), "vector entry 1 is not an integer: None")):
+        with pytest.raises(ComplexError) as info:
+            express_class(cx, 1, bad)
+        assert str(info.value) == message
+    # entries equal to their int() are read as those ints
+    assert express_class(cx, 1, (1.0, -1)) == (-1,)
+    assert type(express_class(cx, 1, (True, -1.0))[0]) is int
+
+
 def test_homology_rejects_nonzero_composite():
     cx = make_complex(
         Direction.HOMOLOGICAL,

@@ -207,10 +207,13 @@ def test_cokernel():
 
 
 def test_non_integer_entries_are_refused():
-    # int() would truncate 1.5 to 1 and turn "3" into 3: both are refused,
-    # naming the entry's row and column
+    # int() would truncate 1.5 to 1 and turn "3" into 3, and it raises on
+    # None, "a" and inf: all are refused, naming the entry's row and column
     for bad, where in (([[1.5]], "row 0, column 0"),
-                       ([[1, 2], [3, "3"]], "row 1, column 1")):
+                       ([[1, 2], [3, "3"]], "row 1, column 1"),
+                       ([[1, None]], "row 0, column 1"),
+                       ([[0], ["a"]], "row 1, column 0"),
+                       ([[float("inf")]], "row 0, column 0")):
         with pytest.raises(ValueError, match=where):
             IntMatrix.from_rows(bad)
     with pytest.raises(ValueError, match="row 1, column 0"):
