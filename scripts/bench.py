@@ -27,7 +27,10 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   ``cusp_count_closed`` on nonorientable ``gen.reeb_case`` graphs of
   10^3, 10^4 and 10^5 vertices and their closed diagrams, each call timed
   on its own and each run on a freshly parsed graph or diagram, so that
-  no step reads what an earlier run cached; with them, per size, a
+  no step reads what an earlier run cached, and ``graph_from_json`` once
+  more (``graph_from_json_decimal``) on a copy of each graph whose values
+  "t/3" are written as the decimals "te-3", in the same order, which the
+  decimal branch of the value parse reads; with them, per size, a
   sha256 over ``graph_to_json``, ``fiber_profile``, ``invariants`` and
   ``diagram_to_json(from_reeb(g))`` (``outputs_sha256``), and
   ``same_outputs`` in the output says whether all labels agree on it;
@@ -262,9 +265,14 @@ def bench_surface(gen, rng):
         case = gen.reeb_case(rng, n, False)
         graph = lambda: graph_from_json(case.doc)
         diagram = lambda: from_reeb(graph())
+        decimal = {**case.doc, "vertices": [
+            {**v, "value": v["value"].replace("/3", "e-3")}
+            for v in case.doc["vertices"]]}
         row = {"vertices": case.vertices, "edges": case.edges}
         for name, fn, fresh in (
                 ("graph_from_json", graph_from_json, lambda: case.doc),
+                ("graph_from_json_decimal", graph_from_json,
+                 lambda: decimal),
                 ("invariants", lambda g: invariants(g, category), graph),
                 ("reduce_to_normal_form",
                  lambda g: reduce_to_normal_form(g, category), graph),

@@ -110,17 +110,6 @@ def _truncated(cx: MixedComplex) -> MixedComplex:
     return MixedComplex(cx.direction, cx.generators[:2], cx.differentials[:1])
 
 
-# CO32's integer coboundaries out of degrees 0 and 1, for the cusp
-# catalogs: CUSP32 takes _DELTA0, and CUSP32 and BCUSP32 add their cusp
-# and boundary terms to _CO32_D1.  The selftest checks them against CO32,
-# the dual of V32: the maps by names from CUSP32 and BCUSP32 to CO32 are
-# chain maps.
-_DELTA0 = {"0_o": dict.fromkeys(_ordered(["I0", "I1"]), 1),
-           "0_e": dict.fromkeys(_ordered(["I0", "I1"]), -1)}
-_CO32_D1 = _both({"I0": {"II01_o": 1, "II01_e": -1},
-                  "I1": {"II01_o": -1, "II01_e": 1}})
-
-
 _V32_D1 = _both({
     "I0": {"0_o": 1, "0_e": -1},
     "I1": {"0_o": 1, "0_e": -1},
@@ -165,28 +154,32 @@ def _f32():
     return make_complex(Direction.HOMOLOGICAL, degrees, [_V32_D1, d2])
 
 
-def _extended(extra):
-    """_CO32_D1 with the further terms extra[source] added to its rows."""
-    return {src: {**_CO32_D1.get(src, {}), **terms}
-            for src, terms in extra.items()}
+def _extended(i, extra):
+    """CO32's coboundary out of degree i, the dual of V32's, with the
+    further terms extra[source] added to its rows: the cusp catalogs add
+    only their cusp and boundary terms to V32's one table."""
+    out = catalog(CatalogId.CO32).formula(i)
+    for src, terms in extra.items():
+        out[src] = {**out.get(src, {}), **terms}
+    return out
 
 
 def _cusp32():
-    delta1 = _extended({"I0_o": {"IIa_e": 1}, "I0_e": {"IIa_o": -1},
-                        "I1_o": {"IIa_o": 1}, "I1_e": {"IIa_e": -1}})
+    delta1 = _extended(1, {"I0_o": {"IIa_e": 1}, "I0_e": {"IIa_o": -1},
+                           "I1_o": {"IIa_o": 1}, "I1_e": {"IIa_e": -1}})
     return make_complex(
         Direction.COHOMOLOGICAL,
         [_gens(_ordered(["0"]), _free),
          _gens(_ordered(["I0", "I1"]), _free),
          _gens(_ordered(["II01", "IIa"]), _free)],
-        [_DELTA0, delta1])
+        [_extended(0, {}), delta1])
 
 
 def _bcusp32():
     deg1 = _ordered(["I0", "I1", "Ia"])
-    delta0 = {"0_o": {lbl: 1 for lbl in deg1},
-              "0_e": {lbl: -1 for lbl in deg1}}
-    delta1 = _extended({
+    delta0 = _extended(0, {"0_o": {"Ia_o": 1, "Ia_e": 1},
+                           "0_e": {"Ia_o": -1, "Ia_e": -1}})
+    delta1 = _extended(1, {
         "I0_o": {"IIa_e": -1, "II0a_o": -1, "II0a_e": 1, "IIg_e": -1},
         "I0_e": {"IIa_o": 1, "II0a_o": -1, "II0a_e": 1, "IIg_o": 1},
         "I1_o": {"IIa_o": -1, "II1a_o": -1, "II1a_e": 1, "IIb_e": -1},
@@ -341,15 +334,8 @@ def counting_identities(catalog_id: CatalogId) -> tuple[CountingIdentity, ...]:
     if catalog_id is CatalogId.CO32:
         return (CountingIdentity((("I0_o", 1), ("I1_e", 1)), ()),
                 CountingIdentity((("I0_e", 1), ("I1_o", 1)), ()))
-    cx = catalog(catalog_id)
-    d1 = cx.differentials[1]
-    deg2 = cx.names(2)
-    out = []
-    for c, lbl in enumerate(cx.names(1)):
-        terms = tuple((deg2[r], d1.entries[r][c])
-                      for r in range(len(deg2)) if d1.entries[r][c] != 0)
-        out.append(CountingIdentity(((lbl, 1),), terms))
-    return tuple(out)
+    return tuple(CountingIdentity(((lbl, 1),), tuple(image.items()))
+                 for lbl, image in catalog(catalog_id).formula(1).items())
 
 
 class CocycleReport(namedtuple("CocycleReport", "image_c1 image_c2 "

@@ -113,6 +113,15 @@ class MixedComplex(namedtuple("MixedComplex",
                                in enumerate(self.torsion_indices(tgt))}
         return tuple(out)
 
+    def formula(self, i: int) -> dict:
+        """differentials[i] by generator names, as ``make_complex`` reads
+        it: {source name: {target name: nonzero}}, with every source and
+        the targets in generator order."""
+        src, tgt = self.ends(i)
+        names = self.names(tgt)
+        return {s: {names[r]: x for r, x in col} for s, col in
+                zip(self.names(src), self.differentials[i].sparse_columns)}
+
     def chain(self, deg: int, coeffs: dict[str, int]):
         """Integer vector for a formal sum given as {generator name: coeff}."""
         vec = [0] * self.n(deg)

@@ -66,8 +66,7 @@ class ReebGraph(namedtuple("ReebGraph", "orientable vertices edges")):
 def make_graph(orientable, vertices, edges) -> ReebGraph:
     vs = tuple(Vertex(i, Fraction(val), VertexKind(kind))
                for i, val, kind in vertices)
-    es = tuple((a, b) for a, b in edges)
-    return ReebGraph(orientable, vs, es)
+    return ReebGraph(orientable, vs, tuple((a, b) for a, b in edges))
 
 
 # fiber_class is "I0", "I1" or "I2", parity "o" or "e", sign None for I2
@@ -111,11 +110,12 @@ class _Sweep:
     sweep hold the rest.  ``order`` holds the vertices by increasing
     value, ``_value_key`` being the one rule that orders them: the sweep
     sorts by the keys' floats, which ``graph_from_json`` hands in from
-    ``_parse_frac``, and only when two floats tie by the whole keys,
-    which compare the values exactly.  An edge counts as up at its lower
-    end and as down at its upper end, so the edges crossing a regular
-    level are the ups minus the downs of the vertices under it: one sort
-    and one pass over the edges give every count, in O((V+E) log V).
+    ``_parse_frac`` as p / q of the integers each value is parsed into,
+    and only when two floats tie by the whole keys, which compare the
+    values exactly.  An edge counts as up at its lower end and as down
+    at its upper end, so the edges crossing a regular level are the ups
+    minus the downs of the vertices under it: one sort and one pass over
+    the edges give every count, in O((V+E) log V).
 
     The same ordered pass stores ``events``: for each vertex in value
     order, its fiber's (class, components, regular components below),
@@ -477,13 +477,19 @@ def graph_to_json(g: ReebGraph) -> dict:
     vs = sorted(g.vertices, key=lambda v: _value_key(v.value))
     return {
         "orientable": g.orientable,
-        "vertices": [{"id": v.id, "value": _frac_str(v.value),
+        "vertices": [{"id": v.id,
+                      "value": f"{v.value.numerator}/{v.value.denominator}",
                       "kind": v.kind.value} for v in vs],
         "edges": [list(e) for e in g.edges],
     }
 
 
 def graph_from_json(doc) -> ReebGraph:
+    """The graph of a JSON document, read in one pass and checked.  Each
+    value is a JSON integer or a string of the one value grammar of
+    ``_parse_frac``, the same on every Python version, and it is read
+    exactly, with its float for the sweep; ReebError names the first
+    field that is malformed or the graph's first problem."""
     if not isinstance(doc, dict):
         raise ReebError("graph document must be a JSON object")
     try:
@@ -579,10 +585,6 @@ def _show_id(x) -> str:
     return s if s.isprintable() else repr(s)
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _parse_id(x):
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError("vertex id must be an integer or a string, not "
@@ -590,50 +592,53 @@ def _parse_id(x):
     return x
 
 
-# Fraction expands a decimal exponent into a power of ten, so "1e999999999"
-# would take unbounded time and memory; value strings are bounded first.
+# Value strings are bounded: a decimal exponent becomes a power of ten,
+# so "1e999999999" would take unbounded time and memory.
 _MAX_VALUE_CHARS = 1000
 _MAX_VALUE_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
 
 
-# An optional "-", ASCII digits and optionally "/" and ASCII digits: for
-# these Fraction(str) gives exactly Fraction(int(p), int(q)), which skips
-# its slower general parser.
-_INT_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# The value grammar, ASCII only, with no spaces or underscores: an integer
+# or "p/q", read with int() alone, or else a decimal with an optional
+# exponent, read as its digits over a power of ten.
+_INT_RATIO = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
+_DECIMAL = re.compile(
+    r"([-+]?(?=\.?[0-9])[0-9]*)(?:\.([0-9]*))?(?:[eE]([-+]?[0-9]+))?")
 
 
 def _parse_frac(s) -> tuple:
-    """A JSON value as (Fraction, the float of its ``_value_key``).  For
-    the strings of ``_INT_RATIO`` the float is p / q of the parsed
-    integers, which rounds correctly, so equal values give equal floats
-    however they are written."""
+    """A JSON value as (Fraction, the float of its ``_value_key``).  The
+    value is a JSON integer or a string of the grammar of ``_INT_RATIO``
+    and ``_DECIMAL``, parsed into integers p and q; the float is p / q,
+    which rounds correctly, so equal values give equal floats however
+    they are written.  A string outside the grammar is named by its
+    first 40 characters."""
     if isinstance(s, str):
         if len(s) > _MAX_VALUE_CHARS:
             raise ValueError(f"rational value longer than {_MAX_VALUE_CHARS} "
                              "characters")
         ratio = _INT_RATIO.fullmatch(s)
-        try:
-            if ratio is not None:
-                p, q = ratio.groups("1")
-                p, q = int(p), int(q)
-                x = Fraction(p, q)
-                # p / q is the only step here that can overflow
-                return x, p / q
-            exp = _EXPONENT.search(s)
-            if not exp or abs(int(exp.group(1))) <= _MAX_VALUE_EXPONENT:
-                x = Fraction(s)
-                return x, _value_key(x)[0]
-        except ZeroDivisionError:
-            raise ValueError("rational value with zero denominator") from None
-        except OverflowError:
-            return x, _value_key(x)[0]
-        except ValueError:
-            # int() and Fraction() would echo the whole string
-            raise ValueError(f"bad rational value {_cut(s)!r}") from None
-        raise ValueError("rational value exponent beyond "
-                         f"+-{_MAX_VALUE_EXPONENT}")
-    if isinstance(s, int) and not isinstance(s, bool):
-        x = Fraction(s)
+        if ratio is not None:
+            p, q = ratio.groups("1")
+            p, q = int(p), int(q)
+        elif (decimal := _DECIMAL.fullmatch(s)) is None:
+            raise ValueError(f"bad rational value {_cut(s)!r}")
+        else:
+            whole, digits, exp = decimal.groups("0")
+            if abs(int(exp)) > _MAX_VALUE_EXPONENT:
+                raise ValueError("rational value exponent beyond "
+                                 f"+-{_MAX_VALUE_EXPONENT}")
+            e = int(exp) - len(digits)
+            p, q = int(whole + digits) * 10 ** max(e, 0), 10 ** max(-e, 0)
+    elif isinstance(s, int) and not isinstance(s, bool):
+        p, q = s, 1
+    else:
+        raise ValueError(f"bad rational value of type {type(s).__name__}")
+    try:
+        x = Fraction(p, q)
+        # p / q is the only step here that can overflow
+        return x, p / q
+    except ZeroDivisionError:
+        raise ValueError("rational value with zero denominator") from None
+    except OverflowError:
         return x, _value_key(x)[0]
-    raise ValueError(f"bad rational value of type {type(s).__name__}")

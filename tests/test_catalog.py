@@ -7,7 +7,7 @@ from foldcob.catalog import (CatalogId, _name_map, catalog,
                              fiber_classes, free_approximation,
                              hypercohomology, suspension_map)
 from foldcob.complexes import (ComplexError, Direction, RingTag, hom_dual,
-                               homology, validate_complex)
+                               homology, make_complex, validate_complex)
 from foldcob.intmat import IntMatrix, cokernel_is_trivial
 
 import catalog_reference
@@ -92,6 +92,20 @@ def test_closed_cochain_catalogs_equal_the_typed_reference(cid):
     # the catalogs are duals of V32; they equal the typed tables as
     # objects: the generators, their order and every matrix
     assert catalog(cid) == _REFERENCE[cid]()
+
+
+@pytest.mark.parametrize("cid", list(CatalogId), ids=lambda c: c.value)
+def test_formula_is_the_inverse_of_make_complex(cid):
+    # every source is listed, in generator order, with only nonzero terms,
+    # and the formulas rebuild the catalog
+    cx = catalog(cid)
+    formulas = [cx.formula(i) for i in range(len(cx.differentials))]
+    for i, formula in enumerate(formulas):
+        assert list(formula) == cx.names(cx.ends(i)[0])
+        assert all(all(image.values()) for image in formula.values())
+    assert make_complex(cx.direction, [[tuple(g) for g in deg]
+                                       for deg in cx.generators],
+                        formulas) == cx
 
 
 def test_every_catalog_validates():

@@ -9,12 +9,18 @@ arbitrary JSON; documents of its own shape whose fields are mostly, but
 not always, of the right kind; and valid documents with up to two fields
 replaced by arbitrary JSON or deleted, so that the fuzzing reaches past
 the first type check into validation and the computation itself.
+Vertex values are also drawn as strings over the value grammar's
+characters with an underscore, a space and a non-ASCII digit among them.
+Each call must take under 5 s, and its ``error:`` line must stay at most
+1000 characters long: ids and values are cut to 40 characters before
+they are shown, though an unprintable id is shown as its repr.
 """
 
 import copy
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -68,10 +74,13 @@ _GRAPHS = [sphere_graph(), torus_graph(), projective_plane_graph(),
            klein_bottle_graph()] + [random_reeb(seed, 6, seed % 2 == 0)
                                     for seed in range(4)]
 _ID = _mostly(st.integers(0, 6))
+# the characters of the value grammar, and an underscore, a space and a
+# non-ASCII digit, which it does not allow
+_VALUE_TEXT = st.text("0123456789+-/.eE_ ٣", max_size=8)
 _VERTEX = _mostly(st.fixed_dictionaries({
     "id": _ID,
     "value": _mostly(st.sampled_from(["0", "1/2", "1", "2", "-3/4", "7"])
-                     | st.integers(-2, 8)),
+                     | st.integers(-2, 8) | _VALUE_TEXT),
     "kind": _mostly(st.sampled_from(["MIN", "MAX", "SADDLE", "DEG2"]))}))
 _GRAPH_DOC = st.one_of(
     _JSON,
@@ -123,11 +132,16 @@ def test_random_documents_exit_0_or_1_with_one_error_line(case):
             argv = [command, "--in", str(path_a)]
         if category:
             argv += ["--category", category]
+        start = time.perf_counter()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
+        seconds = time.perf_counter() - start
+    assert seconds < 5, f"{command} took {seconds:.1f} s"
     assert code in (0, 1)
     if code == 1:
         assert out.getvalue() == ""
     lines = err.getvalue().splitlines()
-    assert sum(line.startswith("error:") for line in lines) <= 1
+    errors = [line for line in lines if line.startswith("error:")]
+    assert len(errors) <= 1
+    assert all(len(line) <= 1000 for line in errors)
     assert "Traceback" not in err.getvalue()

@@ -1,12 +1,12 @@
-"""Graph values parse exactly: ``reeb._parse_frac`` reads integer and
-"p/q" strings with int() alone and must agree, value for value and
-message for message, with the bounded ``Fraction(str)`` parser it
-replaces on those strings; the float it returns with each value is the
-one of that value's ``_value_key``.  Rebuilt seeded graphs round-trip
-through JSON with every value exact."""
+"""Graph values parse exactly and the same on every supported Python:
+``reeb._parse_frac`` reads one ASCII grammar into integers and must
+agree, value for value and message for message, with a reference that
+gates the characters and then asks ``Fraction(str)``, whose grammar on
+those characters is the same on every version; the float it returns with
+each value is the one of that value's ``_value_key``.  Rebuilt seeded
+graphs round-trip through JSON with every value exact."""
 
 import random
-import re
 from fractions import Fraction
 
 import pytest
@@ -18,28 +18,32 @@ from foldcob.reeb import (ReebError, VertexKind, _parse_frac, _value_key,
                           graph_from_json, graph_to_json, invariants,
                           random_reeb, Category)
 
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+# the only characters a value string may hold
+_GATE = set("0123456789+-/.eE")
 
 
 def _reference_parse_frac(s) -> Fraction:
-    """Every value through the bounded Fraction(str) parser, as before the
-    integer and "p/q" strings were read with int().  A string that int()
-    or Fraction() refuses is named by its first 40 characters."""
+    """The value grammar by the gate and the bounded Fraction(str) parser.
+    On ASCII digits, signs, "/", "." and exponents, with no spaces or
+    underscores, every supported version's Fraction(str) reads the same
+    strings.  An exponent beyond 1000 is refused without expanding it,
+    but only in a string that would parse with a small exponent; any
+    other refused string is named by its first 40 characters."""
     if isinstance(s, str):
         if len(s) > 1000:
             raise ValueError("rational value longer than 1000 characters")
         try:
-            exp = _EXPONENT.search(s)
-            if exp and abs(int(exp.group(1))) > 1000:
-                value = None
-            else:
-                value = Fraction(s)
+            if not set(s) <= _GATE:
+                raise ValueError
+            mantissa, e, exponent = s.lower().partition("e")
+            beyond = e and abs(int(exponent)) > 1000
+            value = Fraction(mantissa + "e0" if beyond else s)
         except ZeroDivisionError:
             raise ValueError("rational value with zero denominator") from None
         except ValueError:
             shown = s if len(s) <= 40 else s[:40] + "..."
             raise ValueError(f"bad rational value {shown!r}") from None
-        if value is None:
+        if beyond:
             raise ValueError("rational value exponent beyond +-1000")
         return value
     if isinstance(s, int) and not isinstance(s, bool):
@@ -80,6 +84,7 @@ _ALPHABET = "0123456789-+/.eE_ ٣²"
 @example("٣/2")
 @example("²")
 @example("1e1001")
+@example("-.5E-1001")
 @example("1e_")
 @example("1e1__1")
 @example("x" * 999)
@@ -89,6 +94,25 @@ _ALPHABET = "0123456789-+/.eE_ ٣²"
 @example("1/" + "9" * 998)
 def test_parse_frac_agrees_with_fraction_str(x):
     assert _outcome(_parsed_value, x) == _outcome(_reference_parse_frac, x)
+
+
+# strings that the Fraction(str) of some supported versions reads, with
+# PEP 515 underscores, spaces or non-ASCII digits: refused on every one
+@pytest.mark.parametrize("s", ["1_0", "1e1_0", "1 / 2", "1/ 2", " 4", "١٢",
+                               "٣/2"])
+def test_strings_outside_the_grammar_are_refused(s):
+    with pytest.raises(ValueError) as exc:
+        _parse_frac(s)
+    assert str(exc.value) == f"bad rational value {s!r}"
+
+
+@pytest.mark.parametrize("s, value", [
+    ("+3/4", Fraction(3, 4)), ("-1.25", Fraction(-5, 4)),
+    (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("2e-3", Fraction(1, 500))])
+def test_decimal_and_signed_strings_parse_exactly(s, value):
+    x, key = _parse_frac(s)
+    assert type(x) is Fraction
+    assert (x, key) == (value, float(value))
 
 
 def _reeb_case(rng, n_vertices, orientable):
@@ -178,8 +202,7 @@ def _two_vertex_doc(low, high="1" + "0" * 401):
 
 @pytest.mark.parametrize("value", _VALUE_CASES)
 def test_graph_from_json_reads_each_value_as_parse_frac(value):
-    # some of these strings parse on one Python version and not on
-    # another, so the expected outcome is read from _parse_frac here
+    # the expected outcome is _parse_frac's, which the tests above pin
     try:
         want = _parse_frac(value)[0]
     except ValueError as exc:
