@@ -8,18 +8,24 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   dense, sparse +-1 and incidence families at n = 20, 40, 60, with the
   largest bit length of an entry of u, v, u^-1 or v^-1;
 - ``homology`` in every degree of a ~200-cell torus, Klein bottle, RP2 and
-  genus-2 complex and of each one's Z2 dual, bypassing the cache;
+  genus-2 complex and of each one's Z2 dual, bypassing the cache, on a
+  new copy of the complex per call: the groups alone (``homology_group``)
+  and the groups with their basis cycles read (``homology``), which
+  builds them where they are built on demand;
 - for each of those SNFs and homologies, in one more untimed call, the
   elementary operations of its Smith reductions (``ops``: row_add,
   row_swap, row_neg, col_adds and col_swap calls) and, beside them,
-  ``axpy_nonzeros``, the nonzeros that sparse a += q*b reads; two
-  checkouts that run the same elimination give the same operation
-  counts, and ``same_ops`` in the output says whether all labels do,
-  while the nonzeros read fall when a checkout skips work, and their sum
-  per label is printed on a line of its own;
+  ``axpy_nonzeros``, the nonzeros that sparse a += q*b reads; for a
+  homology these are the reductions that build the basis, counted on a
+  copy whose groups were taken already, and the reductions of the groups
+  alone are counted apart (``homology_group_ops``); two checkouts that
+  run the same elimination give the same operation counts, and
+  ``same_ops`` in the output says whether all labels do, while the
+  nonzeros read fall when a checkout skips work, and their sum per label
+  is printed on a line of its own;
 - ``express_class`` on one reused Klein-bottle presentation;
-- for every catalog id in every degree, ``homology``, bypassing the cache,
-  with the operations of its Smith reductions counted as above, and
+- for every catalog id in every degree, ``homology``, timed and counted
+  as above, and
   ``express_class`` per query over the basis cycles of its presentation,
   each of which must come out as its unit vector;
 - ``graph_from_json``, ``invariants``, ``reduce_to_normal_form``,
@@ -53,7 +59,7 @@ results go under the ``--label`` of their checkout into the JSON file
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_23.json
+        --src src --label change --out BENCH_27.json
 """
 
 from __future__ import annotations
@@ -167,20 +173,58 @@ def _complex(case):
     return make_complex(Direction.HOMOLOGICAL, degrees, case.diffs)
 
 
-def bench_homology(gen, rng):
-    from foldcob.complexes import RingTag, hom_dual, homology
+def _homology_runs(cx, degrees):
+    """Calls that take homology in the degrees with its cache bypassed:
+    ``group`` and ``full`` each on a new copy of cx, so that no call reads
+    what a complex keeps from an earlier one, the first reading the
+    groups only and the second the basis cycles too, which builds them
+    where they are built on demand; and ``basis()``, which takes the
+    groups of a new copy and returns ``full`` on that copy.  Its call
+    runs exactly the basis reductions whether a checkout builds the basis
+    with the group or on demand, so its operations are the ones that two
+    checkouts can compare."""
+    from foldcob.complexes import homology
 
-    compute = homology.__wrapped__    # no cache: every run computes
+    compute = homology.__wrapped__
+
+    def group(c=None):
+        c = type(cx)(*cx) if c is None else c
+        return [compute(c, deg) for deg in degrees]
+
+    def full(c=None):
+        return [pres.basis_cycles for pres in group(c)]
+
+    def basis():
+        c = type(cx)(*cx)
+        group(c)
+        return lambda: full(c)
+
+    return group, full, basis
+
+
+def _time_homology(row, name, cx, degrees):
+    """The homology timings and operations of cx under name: ``X_s`` of
+    the group and the basis, ``X_group_s`` of the group alone, ``X_ops``
+    and ``X_axpy_nonzeros`` of the basis reductions and ``X_group_ops`` of
+    the reductions the group alone runs."""
+    group, full, basis = _homology_runs(cx, degrees)
+    row[name + "_s"] = _timed(full)
+    row[name + "_group_s"] = _timed(group)
+    row[name + "_ops"], row[name + "_axpy_nonzeros"] = _count_ops(basis())
+    row[name + "_group_ops"] = _count_ops(group)[0]
+
+
+def bench_homology(gen, rng):
+    from foldcob.complexes import RingTag, hom_dual
+
     out = []
     for kind in gen.SURFACES:
         case = gen.surface_case(rng, kind, CELLS)
         cx = _complex(case)
         dual = hom_dual(cx, RingTag.TWO_TORSION)
         row = {"kind": kind, "cells": list(case.cells)}
-        for name, c in (("homology", cx), ("homology_z2dual", dual)):
-            run = lambda: [compute(c, deg) for deg in range(3)]
-            row[name + "_s"] = _timed(run)
-            row[name + "_ops"], row[name + "_axpy_nonzeros"] = _count_ops(run)
+        _time_homology(row, "homology", cx, range(3))
+        _time_homology(row, "homology_z2dual", dual, range(3))
         out.append(row)
     return out
 
@@ -213,15 +257,12 @@ def bench_catalogs():
     from foldcob.catalog import CatalogId, catalog
     from foldcob.complexes import express_class, homology
 
-    compute = homology.__wrapped__    # no cache: every run computes
     out = []
     for cid in CatalogId:
         cx = catalog(cid)
         for deg in range(cx.top_degree + 1):
-            run = lambda: compute(cx, deg)
-            ops, nonzeros = _count_ops(run)
-            row = {"id": cid.value, "degree": deg, "homology_s": _timed(run),
-                   "homology_ops": ops, "homology_axpy_nonzeros": nonzeros}
+            row = {"id": cid.value, "degree": deg}
+            _time_homology(row, "homology", cx, (deg,))
             pres = homology(cx, deg)
             for j, cyc in enumerate(pres.basis_cycles):
                 unit = tuple(int(i == j) for i in range(pres.rank))

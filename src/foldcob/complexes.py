@@ -4,7 +4,9 @@ A generator tagged FREE contributes a Z summand to its chain group and a
 generator tagged TWO_TORSION contributes a Z2 summand.  Homology is
 computed by presenting each chain group as Z^n modulo the relations 2e
 for the two-torsion generators and running Smith reduction on stacked
-matrices.
+matrices.  A pure complex, whose generators all share one ring, gets its
+groups from the invariant factors of its differentials and that
+presentation only when a basis is read.
 """
 
 from __future__ import annotations
@@ -112,6 +114,24 @@ class MixedComplex(namedtuple("MixedComplex",
             out[src] = d_out, {r: n + k for k, r
                                in enumerate(self.torsion_indices(tgt))}
         return tuple(out)
+
+    @functools.cached_property
+    def _ring(self):
+        """The ring of every generator, FREE for a complex with none, or
+        None for a mixed complex: which path ``homology`` takes."""
+        rings = {g.ring for gens in self.generators for g in gens}
+        if len(rings) > 1:
+            return None
+        return rings.pop() if rings else RingTag.FREE
+
+    @functools.cached_property
+    def _factors(self):
+        """{source degree: the nonzero invariant factors d1 | d2 | ... of
+        the differential leaving it}, one diagonal-only Smith reduction
+        per differential, shared by the two degrees it joins."""
+        return {src: tuple(filter(None, _smith(_sparse_rows(d),
+                                               d.cols).diagonal()))
+                for d, src, _ in self._diffs()}
 
     def formula(self, i: int) -> dict:
         """differentials[i] by generator names, as ``make_complex`` reads
@@ -223,12 +243,14 @@ def validate_complex(cx: MixedComplex) -> list[Violation]:
     return out
 
 
-class AbelianGroupPresentation(namedtuple(
-        "AbelianGroupPresentation",
-        "free_rank torsion basis_cycles coord_rows")):
+_Presentation = namedtuple("AbelianGroupPresentation",
+                           "free_rank torsion basis_cycles coord_rows")
+
+
+class AbelianGroupPresentation(_Presentation):
     """Z^free_rank + Z/t1 + Z/t2 + ..., with one basis cycle per summand
     and the coordinate rows ``express_class`` reads: rank sparse rows,
-    fixed when the group is computed, so that a class costs one pass over
+    fixed when the basis is built, so that a class costs one pass over
     the cycle to lift it and one sparse dot product per coordinate.
     Hashable, with a deterministic repr.
 
@@ -238,9 +260,63 @@ class AbelianGroupPresentation(namedtuple(
     lift into the kernel of [d_out | relations], the cycle's entries
     followed by the relation part _lift gives, taken mod the modulus;
     torsion rows are already reduced mod theirs.
+
+    ``homology`` of a pure complex gives the group first and builds the
+    basis on demand: ``basis_cycles`` and ``coord_rows`` are computed on
+    their first read and kept.  Reading ``free_rank``, ``torsion`` or
+    ``rank`` never builds them; ``==``, ``hash``, ``repr``, pickling,
+    iteration and indexing read all four fields and so do.  Either way the
+    record is the value of its four fields.
     """
 
-    __slots__ = ()
+    # no __slots__: the instance dict holds the basis builder and the
+    # fields once built
+
+    @classmethod
+    def _lazy(cls, free_rank, torsion, build):
+        """The group now; the whole presentation, as build() returns it,
+        on first read of the basis."""
+        pres = tuple.__new__(cls, (free_rank, torsion, None, None))
+        pres._build = build
+        return pres
+
+    @functools.cached_property
+    def _values(self) -> tuple:
+        """The four fields as a plain tuple, built once.  The builder is
+        kept, so two threads that race here both store the same fields."""
+        build = self.__dict__.get("_build")
+        if build is None:
+            return tuple.__getitem__(self, slice(None))
+        values = build()
+        if values[:2] != (self.free_rank, self.torsion):
+            raise ComplexError("the basis does not present the group")
+        return values
+
+    basis_cycles = property(lambda self: self._values[2])
+    coord_rows = property(lambda self: self._values[3])
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def __eq__(self, other):
+        if isinstance(other, AbelianGroupPresentation):
+            other = other._values
+        return self._values == other
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return repr(_Presentation(*self._values))
+
+    def __reduce__(self):
+        return AbelianGroupPresentation, self._values
 
     @property
     def rank(self) -> int:
@@ -280,9 +356,66 @@ def _lift(cx: MixedComplex, deg: int, x):
     return y
 
 
+def _boundary_lifts(cx: MixedComplex, deg: int) -> list:
+    """Each boundary of the degree, a sparse column of the differential
+    entering it or a torsion relation 2e, lifted by ``_lift`` from its
+    few nonzeros with its relation part appended, so the lifts stay
+    sparse (pairs of column and nonzero).  ComplexError if one is not a
+    cycle, that is if d∘d does not vanish in the target groups."""
+    inn = cx.in_diff(deg)
+    b = list(inn[0].sparse_columns) if inn is not None else []
+    b += [((i, 2),) for i in cx.torsion_indices(deg)]
+    lifts = []
+    for col in b:
+        rel = _lift(cx, deg, col)
+        if rel is None:
+            raise ComplexError("image does not lie in the cycle lattice")
+        lifts.append((*col, *rel.items()))
+    return lifts
+
+
 @functools.lru_cache(maxsize=64)
 def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """Homology (or cohomology, per direction) at the given degree.
+
+    A pure complex, one whose generators are all FREE (or that has none)
+    or all TWO_TORSION, gets its group from ranks: one diagonal-only
+    Smith reduction per differential, kept on the complex
+    (``MixedComplex._factors``).  Over Z the free rank is
+    n - rank(d_out) - rank(d_in) and the torsion is the invariant
+    factors >= 2 of d_in; over Z2 the group is (Z2)^k with
+    k = n - rank2(d_out) - rank2(d_in), where rank2 counts the odd
+    invariant factors.  Every boundary is still lifted by
+    ``_boundary_lifts``, so a nonzero composite raises as on the full
+    path.  The basis cycles and coordinate rows are built on their first
+    read by ``_presentation``, the two reductions that a mixed complex
+    (V32 and its truncation) runs at once, on the same inputs, so every
+    basis is the same either way.
+
+    The 64 most recently used (complex, degree) pairs are memoized; keys
+    compare complexes by value, and the bound keeps a long run over many
+    distinct complexes from holding every presentation.
+    """
+    _check_degree(cx, deg)
+    ring = cx._ring
+    if ring is None:
+        return AbelianGroupPresentation(*_presentation(cx, deg))
+    _boundary_lifts(cx, deg)
+    inn = cx.in_diff(deg)
+    out = cx._factors.get(deg, ())
+    into = cx._factors[inn[1]] if inn is not None else ()
+    if ring is RingTag.FREE:
+        free_rank = cx.n(deg) - len(out) - len(into)
+        torsion = tuple(d for d in into if d >= 2)
+    else:
+        free_rank = 0
+        torsion = (2,) * (cx.n(deg) - sum(d % 2 for d in out + into))
+    return AbelianGroupPresentation._lazy(
+        free_rank, torsion, functools.partial(_presentation, cx, deg))
+
+
+def _presentation(cx: MixedComplex, deg: int) -> tuple:
+    """The four fields of the full presentation at the degree.
 
     Two sparse Smith reductions: one of [d_out | relations], tracking only
     v^-1 and the rows of v in the n coordinates of the degree, whose
@@ -292,19 +425,11 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     coordinates, tracking only u and u^-1.
     Both inputs are built as sparse rows: the nonzeros of d_out with a 2
     in each relation slot of ``_out_slots``, and the lifted boundaries
-    in cycle coordinates.  Each boundary, a sparse column of the
-    differential entering the degree or a torsion relation 2e, is lifted
-    by ``_lift`` from its few nonzeros, and its relation part is appended
-    to them, so the lifts stay sparse (pairs of column and nonzero).
+    of ``_boundary_lifts`` in cycle coordinates.
     Column i of u^-1 gives basis cycle i, and row i of u composed with
     the kernel rows of v^-1 the coordinate row i; both are formed only
     for the rank positions the group keeps, and stay sparse.
-
-    The 64 most recently used (complex, degree) pairs are memoized; keys
-    compare complexes by value, and the bound keeps a long run over many
-    distinct complexes from holding every presentation.
     """
-    _check_degree(cx, deg)
     n = cx.n(deg)
     out = cx._out_slots[deg]
     stacked, cols = [], n
@@ -322,15 +447,7 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     # dropping the relation rows is injective on the kernel
     k_basis = [w.v[j] for j in ker]
     to_cycle = [w.vinv[j] for j in ker]
-    inn = cx.in_diff(deg)
-    b = list(inn[0].sparse_columns) if inn is not None else []
-    b += [((i, 2),) for i in cx.torsion_indices(deg)]
-    lifts = []
-    for col in b:
-        rel = _lift(cx, deg, col)
-        if rel is None:
-            raise ComplexError("image does not lie in the cycle lattice")
-        lifts.append((*col, *rel.items()))
+    lifts = _boundary_lifts(cx, deg)
     # y = to_cycle * lifts, reading to_cycle by the columns it is nonzero in
     by_col = {}
     for r, row in enumerate(to_cycle):
@@ -364,11 +481,8 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
             row = {j: x % d for j, x in row.items() if x % d}
         cycles.append(cyc)
         rows.append((d, tuple(sorted(row.items()))))
-    return AbelianGroupPresentation(
-        free_rank=len(free_pos),
-        torsion=tuple(d for _, d in tors_pos),
-        basis_cycles=_dense(cycles, n),
-        coord_rows=tuple(rows))
+    return (len(free_pos), tuple(d for _, d in tors_pos),
+            _dense(cycles, n), tuple(rows))
 
 
 def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
@@ -487,8 +601,10 @@ def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
 
     Equal invariant factors plus surjectivity suffice: a surjective
     endo-type map between isomorphic finitely generated groups is
-    injective (such groups are Hopfian).  The induced map is computed
-    only when the groups can be isomorphic.
+    injective (such groups are Hopfian).  The groups are compared first,
+    which on pure complexes builds no basis; the induced map, which
+    reads the bases of both ends, is computed only when the groups can be
+    isomorphic.
     """
     src, tgt = homology(f.source, deg), homology(f.target, deg)
     if (src.free_rank, src.torsion) != (tgt.free_rank, tgt.torsion):

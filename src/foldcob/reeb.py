@@ -64,7 +64,11 @@ class ReebGraph(namedtuple("ReebGraph", "orientable vertices edges")):
 
 
 def make_graph(orientable, vertices, edges) -> ReebGraph:
-    vs = tuple(Vertex(i, Fraction(val), VertexKind(kind))
+    """A graph from (id, value, kind) triples and (id, id) edges.  A
+    string value is read by ``_parse_frac``, in the grammar of graph
+    files; any other value goes to ``Fraction`` as it is."""
+    vs = tuple(Vertex(i, _parse_frac(val)[0] if isinstance(val, str)
+                      else Fraction(val), VertexKind(kind))
                for i, val, kind in vertices)
     return ReebGraph(orientable, vs, tuple((a, b) for a, b in edges))
 

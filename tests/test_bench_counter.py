@@ -9,7 +9,7 @@ import importlib.util
 import random
 from pathlib import Path
 
-from foldcob.complexes import RingTag, hom_dual, homology
+from foldcob.complexes import RingTag, hom_dual
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,9 +29,15 @@ def test_count_ops_counts_a_z2_dual_homology(monkeypatch):
 
     cx = bench._complex(gen.surface_case(random.Random(0), "klein", 40))
     dual = hom_dual(cx, RingTag.TWO_TORSION)
-    run = lambda: [homology.__wrapped__(dual, deg) for deg in range(3)]
+    group, run, basis = bench._homology_runs(dual, range(3))
     ops, nonzeros = bench._count_ops(run)
     assert set(ops) == set(bench.OPS)
     assert all(ops[name] > 0 for name in bench.OPS), ops
     assert nonzeros > 0
     assert bench._count_ops(run) == (ops, nonzeros)
+    # the groups first, then the basis: the basis reductions alone
+    group_ops = bench._count_ops(group)[0]
+    basis_ops = bench._count_ops(basis())[0]
+    assert {name: group_ops[name] + basis_ops[name]
+            for name in bench.OPS} == ops
+    assert bench._count_ops(basis())[0] == basis_ops

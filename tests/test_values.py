@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from foldcob import reeb
 from foldcob.reeb import (ReebError, VertexKind, _parse_frac, _value_key,
                           graph_from_json, graph_to_json, invariants,
-                          random_reeb, Category)
+                          make_graph, random_reeb, Category)
 
 # the only characters a value string may hold
 _GATE = set("0123456789+-/.eE")
@@ -104,6 +104,23 @@ def test_strings_outside_the_grammar_are_refused(s):
     with pytest.raises(ValueError) as exc:
         _parse_frac(s)
     assert str(exc.value) == f"bad rational value {s!r}"
+
+
+# make_graph reads a string value as a graph file does, whatever the
+# interpreter's own Fraction(str) would take
+@pytest.mark.parametrize("s", ["1_0", " 4"])
+def test_make_graph_refuses_strings_outside_the_grammar(s):
+    with pytest.raises(ValueError) as exc:
+        make_graph(True, [(0, s, "MIN")], [])
+    assert str(exc.value) == f"bad rational value {s!r}"
+
+
+def test_make_graph_reads_values_in_the_grammar():
+    g = make_graph(True, [(0, "-1.25", "MIN"), (1, "7/2", "MAX"),
+                          (2, 3, "MIN"), (3, Fraction(1, 3), "MAX")], [])
+    assert [v.value for v in g.vertices] == [Fraction(-5, 4), Fraction(7, 2),
+                                             3, Fraction(1, 3)]
+    assert all(type(v.value) is Fraction for v in g.vertices)
 
 
 @pytest.mark.parametrize("s, value", [
