@@ -48,9 +48,16 @@ class MixedComplex(namedtuple("MixedComplex",
     differentials[i] maps the generators of one degree to those of the
     next, as ``ends(i)`` says.  Entry [r][c] is the coefficient of target
     generator r in the image of source generator c.
+
+    The complex is checked once, on first use, by ``_complex_violations``
+    and the result kept in ``_violations``: ``validate_complex`` lists
+    it, and ``homology`` (so ``express_class`` and ``induced_map``) and
+    ``hom_dual`` raise ``ComplexError("not a complex: <first
+    violation>")`` on a complex that has one.
     """
 
-    # no __slots__: the instance dict holds the cached hash and slots
+    # no __slots__: the instance dict holds the cached hash, check and
+    # slots
 
     def __hash__(self):
         return self._hash
@@ -63,6 +70,12 @@ class MixedComplex(namedtuple("MixedComplex",
     def _hash(self) -> int:
         # by value, as a tuple hashes, but computed once
         return tuple.__hash__(self)
+
+    @functools.cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """What keeps this from being a complex, checked on first use.
+        The complex is immutable, so the check never goes stale."""
+        return tuple(_complex_violations(self))
 
     def ends(self, i: int) -> tuple[int, int]:
         """(source degree, target degree) of differentials[i]: i+1 -> i
@@ -195,10 +208,10 @@ class Violation(namedtuple("Violation", "kind degree detail")):
 def _torsion_to_free(m: IntMatrix, src_gens, tgt_gens):
     """(row, col) of each nonzero entry of m from a Z2 generator into a Z
     generator; Hom(Z2, Z) = 0, so every such entry must be 0."""
-    return [(r, c) for c, g in enumerate(src_gens)
+    return [(r, c) for c, (g, col) in enumerate(zip(src_gens,
+                                                    m.sparse_columns))
             if g.ring is RingTag.TWO_TORSION
-            for r, h in enumerate(tgt_gens)
-            if h.ring is RingTag.FREE and m.entries[r][c] != 0]
+            for r, _ in col if tgt_gens[r].ring is RingTag.FREE]
 
 
 def _nonzero_in_target(rows, tgt_gens):
@@ -210,37 +223,48 @@ def _nonzero_in_target(rows, tgt_gens):
 
 
 def _shape_violations(cx: MixedComplex) -> list[Violation]:
-    """The differentials whose shape does not fit the degrees they join."""
+    """A differential with no target degree, or else the differentials
+    whose shape does not fit the degrees they join."""
+    if len(cx.differentials) > max(cx.top_degree, 0):
+        return [Violation("shape", 0, f"{len(cx.differentials)} "
+                          f"differentials for {len(cx.generators)} degrees")]
     return [Violation("shape", src, f"differential is {d.rows}x{d.cols}, "
                       f"expected {cx.n(tgt)}x{cx.n(src)}")
             for d, src, tgt in cx._diffs()
             if d.rows != cx.n(tgt) or d.cols != cx.n(src)]
 
 
-def validate_complex(cx: MixedComplex) -> list[Violation]:
-    """All structural violations of the mixed-complex invariants; shape
-    violations are reported alone."""
-    out = _shape_violations(cx)
-    if out:
-        return out
-    for d, src, tgt in cx._diffs():
-        for r, c in _torsion_to_free(d, cx.generators[src],
-                                     cx.generators[tgt]):
-            out.append(Violation(
-                "two-torsion source maps to free target", src,
-                f"generator {cx.generators[src][c].name} -> "
-                f"{cx.generators[tgt][r].name}"))
-    # the composite through each middle degree must vanish in the targets
-    for mid in range(1, len(cx.differentials)):
-        first, src = cx.in_diff(mid)
-        second, tgt = cx.out_diff(mid)
-        for r, c, x in _nonzero_in_target(second.mul(first).entries,
-                                          cx.generators[tgt]):
-            out.append(Violation(
-                "nonzero composite", src,
-                f"d∘d sends {cx.generators[src][c].name} to "
-                f"{x}*{cx.generators[tgt][r].name}"))
+def _complex_violations(cx: MixedComplex) -> list[Violation]:
+    """Shape first, reported alone; then each Z2 -> Z entry; then d∘d,
+    by lifting each column of each differential with ``_lift`` through
+    the next one, the rule ``homology`` lifts boundaries by.  A column
+    that does not lift names each target where its image is not zero."""
+    shape = _shape_violations(cx)
+    if shape:
+        return shape
+    gens = cx.generators
+    out = [Violation("two-torsion source maps to free target", src,
+                     f"generator {gens[src][c].name} -> {gens[tgt][r].name}")
+           for d, src, tgt in cx._diffs()
+           for r, c in _torsion_to_free(d, gens[src], gens[tgt])]
+    for d, src, mid in cx._diffs():
+        for c, col in enumerate(d.sparse_columns):
+            if _lift(cx, mid, col) is None:
+                second, tgt = cx.out_diff(mid)
+                image = zip(second.apply([row[c] for row in d.entries]))
+                out += [Violation(
+                    "nonzero composite", src, f"d∘d sends {gens[src][c].name}"
+                    f" to {x}*{gens[tgt][r].name}")
+                    for r, _, x in _nonzero_in_target(image, gens[tgt])]
     return out
+
+
+def validate_complex(cx: MixedComplex) -> list[Violation]:
+    """All violations of the mixed-complex invariants, as checked once
+    per complex by ``_complex_violations``: shape violations alone, or
+    else each Z2 -> Z entry, then each entry of d∘d that is not zero in
+    its target group."""
+    return list(cx._violations)
 
 
 _Presentation = namedtuple("AbelianGroupPresentation",
@@ -323,6 +347,11 @@ class AbelianGroupPresentation(_Presentation):
         return self.free_rank + len(self.torsion)
 
 
+def _require_complex(cx: MixedComplex):
+    if cx._violations:
+        raise ComplexError(f"not a complex: {cx._violations[0]}")
+
+
 def _check_degree(cx: MixedComplex, deg: int):
     if not 0 <= deg <= cx.top_degree:
         raise ComplexError(f"degree {deg} out of range 0..{cx.top_degree}")
@@ -360,18 +389,13 @@ def _boundary_lifts(cx: MixedComplex, deg: int) -> list:
     """Each boundary of the degree, a sparse column of the differential
     entering it or a torsion relation 2e, lifted by ``_lift`` from its
     few nonzeros with its relation part appended, so the lifts stay
-    sparse (pairs of column and nonzero).  ComplexError if one is not a
-    cycle, that is if d∘d does not vanish in the target groups."""
+    sparse (pairs of column and nonzero).  Every lift exists on a checked
+    complex: the columns by the d∘d check, and 2e because e maps into Z2
+    generators only."""
     inn = cx.in_diff(deg)
     b = list(inn[0].sparse_columns) if inn is not None else []
     b += [((i, 2),) for i in cx.torsion_indices(deg)]
-    lifts = []
-    for col in b:
-        rel = _lift(cx, deg, col)
-        if rel is None:
-            raise ComplexError("image does not lie in the cycle lattice")
-        lifts.append((*col, *rel.items()))
-    return lifts
+    return [(*col, *_lift(cx, deg, col).items()) for col in b]
 
 
 @functools.lru_cache(maxsize=64)
@@ -385,22 +409,25 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     n - rank(d_out) - rank(d_in) and the torsion is the invariant
     factors >= 2 of d_in; over Z2 the group is (Z2)^k with
     k = n - rank2(d_out) - rank2(d_in), where rank2 counts the odd
-    invariant factors.  Every boundary is still lifted by
-    ``_boundary_lifts``, so a nonzero composite raises as on the full
-    path.  The basis cycles and coordinate rows are built on their first
-    read by ``_presentation``, the two reductions that a mixed complex
-    (V32 and its truncation) runs at once, on the same inputs, so every
-    basis is the same either way.
+    invariant factors.  The basis cycles and coordinate rows are built
+    on their first read by ``_presentation``, the two reductions that a
+    mixed complex (V32 and its truncation) runs at once, on the same
+    inputs, so every basis is the same either way.
+
+    The complex is checked first, once per complex object (see
+    ``MixedComplex``): on either path, in every degree, a complex with a
+    violation raises ``ComplexError("not a complex: <violation>")``, and
+    a degree outside 0..K raises ``ComplexError`` too.
 
     The 64 most recently used (complex, degree) pairs are memoized; keys
     compare complexes by value, and the bound keeps a long run over many
     distinct complexes from holding every presentation.
     """
+    _require_complex(cx)
     _check_degree(cx, deg)
     ring = cx._ring
     if ring is None:
         return AbelianGroupPresentation(*_presentation(cx, deg))
-    _boundary_lifts(cx, deg)
     inn = cx.in_diff(deg)
     out = cx._factors.get(deg, ())
     into = cx._factors[inn[1]] if inn is not None else ()
@@ -565,12 +592,8 @@ def _chain_map_violations(f: ChainMap) -> list[Violation]:
             out.append(Violation("two-torsion source maps to free target",
                                  d, f.source.generators[d][c].name))
     # commuting squares, checked in the target groups
-    for d in range(len(f.matrices)):
-        sd = f.source.out_diff(d)
-        if sd is None:
-            continue
-        mat, tgt_deg = sd
-        if tgt_deg >= len(f.matrices):
+    for mat, d, tgt_deg in f.source._diffs():
+        if max(d, tgt_deg) >= len(f.matrices):
             continue
         td = f.target.out_diff(d)
         lhs = f.matrices[tgt_deg].mul(mat)
@@ -623,8 +646,12 @@ def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
 
     Hom(Z2, Z) = 0, so two-torsion generators disappear over Z; over Z2
     every generator survives with Z2 coefficients.  Each differential
-    becomes its transpose on the kept generators, mod 2 over Z2.
+    becomes its transpose on the kept generators, mod 2 over Z2.  The
+    complex is checked first: one with a violation raises
+    ``ComplexError("not a complex: <violation>")``, since the transpose
+    of the kept generators alone may hide it.
     """
+    _require_complex(cx)
     if cx.direction is not Direction.HOMOLOGICAL:
         raise ComplexError("hom_dual expects a homological complex")
     kept = [[i for i, gen in enumerate(degree)
