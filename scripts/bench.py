@@ -23,6 +23,10 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   ``same_ops`` in the output says whether all labels do, while the
   nonzeros read fall when a checkout skips work, and their sum per label
   is printed on a line of its own;
+- ``make_complex`` and ``hom_dual(., Z2)`` of a torus, Klein bottle, RP2
+  and genus-2 complex of about BUILD_CELLS cells each, the dual of a
+  complex already checked, as the ``algebra`` workload takes it, with
+  the nonzeros of each complex's differentials;
 - ``express_class`` on one reused Klein-bottle presentation;
 - for every catalog id in every degree, ``homology``, timed and counted
   as above, and
@@ -59,7 +63,7 @@ results go under the ``--label`` of their checkout into the JSON file
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_27.json
+        --src src --label change --out BENCH_30.json
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ REPEAT = 5
 CALLS = 3
 SIZES = (20, 40, 60)
 CELLS = 200
+BUILD_CELLS = (200, 800, 2000)
 QUERIES = 200
 GRAPH_SIZES = (10**3, 10**4, 10**5)
 CLI_GRAPH_SIZES = (10**3, 10**5)
@@ -226,6 +231,24 @@ def bench_homology(gen, rng):
         _time_homology(row, "homology", cx, range(3))
         _time_homology(row, "homology_z2dual", dual, range(3))
         out.append(row)
+    return out
+
+
+def bench_builders(gen, rng):
+    from foldcob.complexes import RingTag, hom_dual, validate_complex
+
+    out = []
+    for cells in BUILD_CELLS:
+        for kind in gen.SURFACES:
+            case = gen.surface_case(rng, kind, cells)
+            cx = _complex(case)
+            validate_complex(cx)
+            out.append({"kind": kind, "cells": list(case.cells),
+                        "nonzeros": sum(len(col) for d in cx.differentials
+                                        for col in d.sparse_columns),
+                        "make_complex_s": _timed(lambda: _complex(case)),
+                        "hom_dual_z2_s": _timed(
+                            lambda: hom_dual(cx, RingTag.TWO_TORSION))})
     return out
 
 
@@ -386,6 +409,7 @@ def sample(src):
     rng = random.Random(SEED)
     return {"matrices": bench_matrices(gen, rng),
             "homology": bench_homology(gen, rng),
+            "builders": bench_builders(gen, random.Random(SEED)),
             "express": bench_express(gen, rng),
             "catalogs": bench_catalogs(),
             "surface": bench_surface(gen, random.Random(SEED)),

@@ -49,6 +49,18 @@ MUTANTS = (
            "    return [(r, c) for c, (g, col) in enumerate(",
            "    return [] if True else [(r, c) for c, (g, col) in enumerate(",
            ("tests/test_complex_check.py", "tests/test_complexes.py")),
+    Mutant("hom-dual-not-mod-2", "src/foldcob/complexes.py",
+           "                    x %= 2\n",
+           "                    pass\n",
+           ("tests/test_sparse_builders.py", "tests/test_catalog.py")),
+    Mutant("hom-dual-renumbers-by-old-index", "src/foldcob/complexes.py",
+           "                    dual_cols[new[tgt][r]].append((k, x))\n",
+           "                    dual_cols[new[tgt][r]].append((c, x))\n",
+           ("tests/test_catalog.py", "tests/test_cli.py")),
+    Mutant("make-complex-keeps-zero-pair", "src/foldcob/complexes.py",
+           "            tuple(sorted([(r, x) for r, x in col.items() if x]))\n",
+           "            tuple(sorted([(r, x) for r, x in col.items()]))\n",
+           ("tests/test_sparse_builders.py",)),
     Mutant("nearest-quotient-ties-up", "src/foldcob/intmat.py",
            "    return q + 1 if 2 * abs(r) > abs(p) else q\n",
            "    return q + 1 if 2 * abs(r) >= abs(p) else q\n",

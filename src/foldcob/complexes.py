@@ -16,8 +16,8 @@ from collections import namedtuple
 from enum import Enum
 from itertools import compress
 
-from .intmat import (IntMatrix, _axpy, _dense, _int_row, _smith,
-                     _sparse_rows, cokernel_is_trivial, from_columns)
+from .intmat import (IntMatrix, _axpy, _column_rows, _dense, _int_entry,
+                     _int_row, _smith, cokernel_is_trivial, from_columns)
 
 
 class RingTag(Enum):
@@ -53,7 +53,13 @@ class MixedComplex(namedtuple("MixedComplex",
     and the result kept in ``_violations``: ``validate_complex`` lists
     it, and ``homology`` (so ``express_class`` and ``induced_map``) and
     ``hom_dual`` raise ``ComplexError("not a complex: <first
-    violation>")`` on a complex that has one.
+    violation>")`` on a complex that has one.  ``hom_dual`` returns its
+    dual with the check kept already, as it cannot fail.
+
+    ``make_complex`` and ``hom_dual`` build each differential from its
+    nonzeros, with its ``sparse_columns`` kept; the check, homology and
+    ``express_class`` read only those, and the dense rows are there for
+    printing and for callers that read entries.
     """
 
     # no __slots__: the instance dict holds the cached hash, check and
@@ -142,7 +148,7 @@ class MixedComplex(namedtuple("MixedComplex",
         """{source degree: the nonzero invariant factors d1 | d2 | ... of
         the differential leaving it}, one diagonal-only Smith reduction
         per differential, shared by the two degrees it joins."""
-        return {src: tuple(filter(None, _smith(_sparse_rows(d),
+        return {src: tuple(filter(None, _smith(_column_rows(d),
                                                d.cols).diagonal()))
                 for d, src, _ in self._diffs()}
 
@@ -170,6 +176,14 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
     diffs: list of dicts, one per differential, mapping a source
     generator name to {target name: coefficient}; diffs[i] connects the
     degrees ``MixedComplex.ends(i)``.
+
+    Each differential is built from its nonzeros, a column per source
+    generator (``IntMatrix._of_columns``), and equals the matrix of the
+    dense rows: a repeated generator name keeps its first index, an
+    unknown name or a coefficient that is no number raises
+    ``ComplexError``, and one such as 1.5 raises the ValueError of
+    ``IntMatrix.from_rows`` naming the entry, while 2.0, True or
+    Fraction(3) read as ints and a zero coefficient gives no entry.
     """
     gens = tuple(tuple(Generator(n, r) for n, r in deg) for deg in degrees)
     shell = MixedComplex(direction, gens, ())
@@ -179,7 +193,8 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
     mats = []
     for i, formula in enumerate(diffs):
         src, tgt = shell.ends(i)
-        m = [[0] * len(gens[src]) for _ in range(len(gens[tgt]))]
+        nrows, cols = len(gens[tgt]), [{} for _ in gens[src]]
+        odd = []    # (row, col) of each entry that is not an exact int
         for sname, image in formula.items():
             c = index[src].get(sname)
             if c is None and not image:
@@ -187,14 +202,22 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
                                    f"{sname!r}")
             for tname, coeff in image.items():
                 r = index[tgt].get(tname)
-                try:    # an unknown name indexes with None
-                    m[r][c] += coeff
+                try:    # as m[r][c] += coeff on dense rows of zeros did
+                    if r is None or c is None:    # an unknown name
+                        raise TypeError
+                    x = cols[c][r] = 0 + coeff
                 except TypeError:
                     raise ComplexError(
                         f"differential {i}, {sname!r} -> {tname!r}: " +
                         ("unknown generator" if None in (r, c) else
                          f"coefficient {coeff!r} is not an integer")) from None
-        mats.append(IntMatrix.from_rows(m, len(gens[src])))
+                if type(x) is not int:
+                    odd.append((r, c))
+        for r, c in sorted(odd):    # the first bad entry by row, then column
+            cols[c][r] = _int_entry(cols[c][r], r, c)
+        mats.append(IntMatrix._of_columns(nrows, tuple(
+            tuple(sorted([(r, x) for r, x in col.items() if x]))
+            for col in cols)))
     return MixedComplex(direction, gens, tuple(mats))
 
 
@@ -214,12 +237,23 @@ def _torsion_to_free(m: IntMatrix, src_gens, tgt_gens):
             for r, _ in col if tgt_gens[r].ring is RingTag.FREE]
 
 
-def _nonzero_in_target(rows, tgt_gens):
-    """(row, col, entry) of each matrix entry that is not zero in the group
-    of its target generator: exactly on Z rows, mod 2 on Z2 rows."""
-    return [(r, c, x) for r, (row, g) in enumerate(zip(rows, tgt_gens))
-            for c, x in enumerate(row)
-            if (x % 2 if g.ring is RingTag.TWO_TORSION else x) != 0]
+def _nonzero_in_target(entries, tgt_gens):
+    """The (row, col, entry) triples of entries whose entry is not zero in
+    the group of its target generator, exactly on Z rows and mod 2 on Z2
+    rows, by row, then column."""
+    return sorted((r, c, x) for r, c, x in entries
+                  if (x % 2 if tgt_gens[r].ring is RingTag.TWO_TORSION
+                      else x) != 0)
+
+
+def _composite(second, first, c, acc, sign=1):
+    """acc[r] += sign * (second∘first)[r][c] for every row r, read off the
+    sparse columns of both; returns acc."""
+    cols = second.sparse_columns
+    for m, a in first.sparse_columns[c]:
+        for r, b in cols[m]:
+            acc[r] = acc.get(r, 0) + sign * a * b
+    return acc
 
 
 def _shape_violations(cx: MixedComplex) -> list[Violation]:
@@ -251,11 +285,12 @@ def _complex_violations(cx: MixedComplex) -> list[Violation]:
         for c, col in enumerate(d.sparse_columns):
             if _lift(cx, mid, col) is None:
                 second, tgt = cx.out_diff(mid)
-                image = zip(second.apply([row[c] for row in d.entries]))
+                image = _composite(second, d, c, {})
                 out += [Violation(
                     "nonzero composite", src, f"d∘d sends {gens[src][c].name}"
                     f" to {x}*{gens[tgt][r].name}")
-                    for r, _, x in _nonzero_in_target(image, gens[tgt])]
+                    for r, _, x in _nonzero_in_target(
+                        ((r, c, x) for r, x in image.items()), gens[tgt])]
     return out
 
 
@@ -462,7 +497,7 @@ def _presentation(cx: MixedComplex, deg: int) -> tuple:
     stacked, cols = [], n
     if out is not None:
         d_out, slot = out
-        stacked = _sparse_rows(d_out)
+        stacked = _column_rows(d_out)
         for r, c in slot.items():
             stacked[r][c] = 2
         cols += len(slot)
@@ -591,16 +626,17 @@ def _chain_map_violations(f: ChainMap) -> list[Violation]:
                                      f.target.generators[d]):
             out.append(Violation("two-torsion source maps to free target",
                                  d, f.source.generators[d][c].name))
-    # commuting squares, checked in the target groups
+    # commuting squares, checked in the target groups a column at a time
     for mat, d, tgt_deg in f.source._diffs():
         if max(d, tgt_deg) >= len(f.matrices):
             continue
         td = f.target.out_diff(d)
-        lhs = f.matrices[tgt_deg].mul(mat)
-        rhs = (td[0].mul(f.matrices[d]) if td is not None
-               else IntMatrix.zero(lhs.rows, lhs.cols))
-        diff = ([x - y for x, y in zip(lrow, rrow)]
-                for lrow, rrow in zip(lhs.entries, rhs.entries))
+        diff = []
+        for c in range(mat.cols):    # column c of f∘d - d'∘f
+            acc = _composite(f.matrices[tgt_deg], mat, c, {})
+            if td is not None:
+                _composite(td[0], f.matrices[d], c, acc, -1)
+            diff += [(r, c, x) for r, x in acc.items()]
         for _, c, _ in _nonzero_in_target(diff, f.target.generators[tgt_deg]):
             out.append(Violation(
                 "chain-map square fails", d,
@@ -608,10 +644,14 @@ def _chain_map_violations(f: ChainMap) -> list[Violation]:
     return out
 
 
-def induced_map(f: ChainMap, deg: int) -> IntMatrix:
-    """Matrix of the induced map on homology in the computed bases."""
+def _require_chain_map(f: ChainMap):
     if f._violations:
         raise ComplexError(f"not a chain map: {f._violations[0]}")
+
+
+def induced_map(f: ChainMap, deg: int) -> IntMatrix:
+    """Matrix of the induced map on homology in the computed bases."""
+    _require_chain_map(f)
     cols = []
     for cyc in homology(f.source, deg).basis_cycles:
         image = f.matrices[deg].apply(cyc)
@@ -627,8 +667,10 @@ def induced_is_isomorphism(f: ChainMap, deg: int) -> bool:
     injective (such groups are Hopfian).  The groups are compared first,
     which on pure complexes builds no basis; the induced map, which
     reads the bases of both ends, is computed only when the groups can be
-    isomorphic.
+    isomorphic.  A map that is not a chain map raises ``ComplexError("not
+    a chain map: <first violation>")`` first, as ``induced_map`` does.
     """
+    _require_chain_map(f)
     src, tgt = homology(f.source, deg), homology(f.target, deg)
     if (src.free_rank, src.torsion) != (tgt.free_rank, tgt.torsion):
         return False
@@ -646,10 +688,21 @@ def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
 
     Hom(Z2, Z) = 0, so two-torsion generators disappear over Z; over Z2
     every generator survives with Z2 coefficients.  Each differential
-    becomes its transpose on the kept generators, mod 2 over Z2.  The
-    complex is checked first: one with a violation raises
-    ``ComplexError("not a complex: <violation>")``, since the transpose
-    of the kept generators alone may hide it.
+    becomes its transpose on the kept generators, mod 2 over Z2, built
+    from its nonzeros: the pairs of each column of cx's differential,
+    kept and renumbered, are regrouped by row, and over Z2 reduced mod 2,
+    dropping the ones that vanish.  The complex is checked first: one
+    with a violation raises ``ComplexError("not a complex:
+    <violation>")``, since the transpose of the kept generators alone may
+    hide it.
+
+    The dual of a checked complex is a complex, so it is returned
+    checked, with no violation.  Its shapes fit, and it has no Z2 -> Z
+    entry, its generators sharing one ring.  Over Z, (d∘d)^T on free
+    generators sums only over free middle generators, as a Z2 middle
+    generator meets a free target only through a zero entry, so it is
+    the zero of cx's composite on Z rows.  Over Z2, cx's composite is
+    even on every row, and stays so after reducing each entry mod 2.
     """
     _require_complex(cx)
     if cx.direction is not Direction.HOMOLOGICAL:
@@ -659,11 +712,26 @@ def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
             for degree in cx.generators]
     gens = tuple(tuple(Generator(degree[i].name, g) for i in keep)
                  for degree, keep in zip(cx.generators, kept))
-    mats = tuple(m.submatrix(kept[tgt], kept[src]).transpose()
-                 for m, src, tgt in cx._diffs())
-    if g is RingTag.TWO_TORSION:
-        mats = tuple(m.mod2() for m in mats)
-    return MixedComplex(Direction.COHOMOLOGICAL, gens, mats)
+    # per degree, {old index: new index} of the kept generators
+    new = [{i: k for k, i in enumerate(keep)} for keep in kept]
+    mats = []
+    for m, src, tgt in cx._diffs():
+        # the dual's columns, one per kept row of m, filled in row order
+        dual_cols = [[] for _ in kept[tgt]]
+        for c, col in enumerate(m.sparse_columns):
+            k = new[src].get(c)
+            if k is None:
+                continue
+            for r, x in col:
+                if g is RingTag.TWO_TORSION:
+                    x %= 2
+                if x and r in new[tgt]:
+                    dual_cols[new[tgt][r]].append((k, x))
+        mats.append(IntMatrix._of_columns(len(kept[src]),
+                                          tuple(map(tuple, dual_cols))))
+    dual = MixedComplex(Direction.COHOMOLOGICAL, gens, tuple(mats))
+    dual.__dict__["_violations"] = ()
+    return dual
 
 
 def zero_complex(direction=Direction.HOMOLOGICAL) -> MixedComplex:

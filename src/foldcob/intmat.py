@@ -3,10 +3,18 @@
 Everything here runs over Python's unbounded integers; no floating
 point is used anywhere in the algebra core.
 
-``IntMatrix`` is an immutable tuple of dense rows.  The Smith reduction
-is Euclidean with a least-|pivot| rule (after Kannan-Bachem and
-Havas-Majewski-Matthews), so coefficients stay small, and works on
-sparse vectors: s, u and v^-1 as lists of sparse rows,
+``IntMatrix`` is an immutable tuple of dense rows.  A differential of a
+complex is built from its nonzeros instead (``IntMatrix._of_columns``):
+its columns, as (row, nonzero) pairs, are kept as the ``sparse_columns``
+cache and scattered once into the dense rows, which it still holds and
+compares by, so it equals the matrix ``from_rows`` builds from those
+rows.  ``_column_rows`` reads its sparse rows off those columns in
+O(nonzeros); ``_sparse_rows`` reads them off the dense rows, for the
+dense-born input of ``snf_with_inverses``.
+
+The Smith reduction is Euclidean with a least-|pivot| rule (after
+Kannan-Bachem and Havas-Majewski-Matthews), so coefficients stay small,
+and works on sparse vectors: s, u and v^-1 as lists of sparse rows,
 v and u^-1 as lists of sparse columns, each a dict {index: nonzero}.
 Every elementary row or column operation moves whole rows of the first
 three and whole columns of the other two, so it is one sparse
@@ -42,7 +50,8 @@ from functools import cached_property
 
 
 class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
-    # no __slots__: the instance dict holds the cached ``sparse_columns``
+    # no __slots__: the instance dict holds ``sparse_columns``, cached on
+    # first read or stored by ``_of_columns``
 
     def __new__(cls, rows, cols, entries):
         if len(entries) != rows:
@@ -65,6 +74,21 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                 raise ValueError("cannot infer column count of empty matrix")
             cols = len(rows[0])
         return IntMatrix(len(rows), cols, tuple(rows))
+
+    @staticmethod
+    def _of_columns(rows, columns):
+        """The rows x len(columns) matrix whose columns are ``columns``, a
+        tuple of tuples of (row, nonzero int) pairs in row order, as
+        ``sparse_columns`` gives them.  They are kept as that cache and
+        scattered once into the dense rows."""
+        zero = [0] * len(columns)
+        data = [zero.copy() for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col:
+                data[i][j] = x
+        m = IntMatrix(rows, len(columns), tuple(map(tuple, data)))
+        m.__dict__["sparse_columns"] = columns
+        return m
 
     @staticmethod
     def zero(rows, cols):
@@ -138,10 +162,21 @@ def _int_row(row, i=None):
     except (TypeError, ValueError, OverflowError):
         ints = None
     if ints != row:    # one comparison for the whole row
-        j = next(j for j, x in enumerate(row) if not _is_int(x))
-        at = f"{j}" if i is None else f"at row {i}, column {j}"
-        raise ValueError(f"entry {at} is not an integer: {row[j]!r}")
+        # entry by entry, which raises at the first that int() would change
+        return tuple(_int_entry(x, i, j) for j, x in enumerate(row))
     return ints
+
+
+def _int_entry(x, i, j):
+    """The entry x at row i, column j as an int, or a ValueError naming it
+    if int() would change or refuses it; with no i, x is entry j of a
+    vector."""
+    if type(x) is int:
+        return x
+    if not _is_int(x):
+        at = f"{j}" if i is None else f"at row {i}, column {j}"
+        raise ValueError(f"entry {at} is not an integer: {x!r}")
+    return int(x)
 
 
 def _is_int(x):
@@ -368,8 +403,19 @@ def _dense(vecs, n):
 
 
 def _sparse_rows(m: IntMatrix):
-    """The rows of m as new dicts {column: nonzero}."""
+    """The rows of m as new dicts {column: nonzero}, read off its dense
+    rows."""
     return [{j: x for j, x in enumerate(row) if x} for row in m.entries]
+
+
+def _column_rows(m: IntMatrix):
+    """The rows of m as new dicts {column: nonzero}, read off its sparse
+    columns in O(nonzeros), in the order ``_sparse_rows`` gives."""
+    rows = [{} for _ in range(m.rows)]
+    for j, col in enumerate(m.sparse_columns):
+        for i, x in col:
+            rows[i][j] = x
+    return rows
 
 
 def _smith(rows, nc, u=False, v=None) -> _Work:

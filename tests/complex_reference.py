@@ -1,4 +1,5 @@
-"""Reference check of the mixed-complex invariants on dense matrices.
+"""Dense references for the complexes layer: the former check of the
+mixed-complex invariants and the former builders.
 
 ``validate_complex`` below is the library's former check, kept as it
 was: the shapes of the differentials, then each entry from a Z2
@@ -9,11 +10,24 @@ of each differential through the next one, the rule its homology lifts
 boundaries by; the differential tests require the same violations,
 kind and degree, entry for entry.  Like the former check, this one
 expects no more differentials than degrees less one.
+
+``chain_map_violations`` is the library's former check of a chain map,
+kept as it was: its squares multiply dense matrices.  The library
+composes them a column at a time from the sparse columns; the tests
+require the same violations, in the same order.
+
+``make_complex`` and ``hom_dual`` below are the library's former
+builders, kept as they were: each fills dense rows (``hom_dual`` through
+``submatrix``, ``transpose`` and ``mod2``) and converts them.  The
+library builds each differential from its nonzeros; the builder tests
+require the same matrices, or the same exception and text.
 """
 
 from __future__ import annotations
 
-from foldcob.complexes import MixedComplex, RingTag, Violation
+from foldcob.complexes import (ChainMap, ComplexError, Direction, Generator,
+                               MixedComplex, RingTag, Violation,
+                               _require_complex)
 from foldcob.intmat import IntMatrix
 
 
@@ -66,3 +80,98 @@ def validate_complex(cx: MixedComplex) -> list[Violation]:
                 f"d∘d sends {cx.generators[src][c].name} to "
                 f"{x}*{cx.generators[tgt][r].name}"))
     return out
+
+
+def chain_map_violations(f: ChainMap) -> list[Violation]:
+    out = []
+    if f.source.direction is not f.target.direction:
+        return [Violation("direction mismatch", 0, "source vs target")]
+    if len(f.matrices) != min(f.source.top_degree, f.target.top_degree) + 1:
+        return [Violation("shape", 0, "wrong number of degree matrices")]
+    for d, m in enumerate(f.matrices):
+        if m.rows != f.target.n(d) or m.cols != f.source.n(d):
+            return [Violation("shape", d, "matrix shape mismatch")]
+    # the squares below multiply the differentials of both ends
+    shapes = _shape_violations(f.source) + _shape_violations(f.target)
+    if shapes:
+        return shapes
+    for d, m in enumerate(f.matrices):
+        for _, c in _torsion_to_free(m, f.source.generators[d],
+                                     f.target.generators[d]):
+            out.append(Violation("two-torsion source maps to free target",
+                                 d, f.source.generators[d][c].name))
+    # commuting squares, checked in the target groups
+    for mat, d, tgt_deg in f.source._diffs():
+        if max(d, tgt_deg) >= len(f.matrices):
+            continue
+        td = f.target.out_diff(d)
+        lhs = f.matrices[tgt_deg].mul(mat)
+        rhs = (td[0].mul(f.matrices[d]) if td is not None
+               else IntMatrix.zero(lhs.rows, lhs.cols))
+        diff = ([x - y for x, y in zip(lrow, rrow)]
+                for lrow, rrow in zip(lhs.entries, rhs.entries))
+        for _, c, _ in _nonzero_in_target(diff, f.target.generators[tgt_deg]):
+            out.append(Violation(
+                "chain-map square fails", d,
+                f"source generator {f.source.generators[d][c].name}"))
+    return out
+
+
+def make_complex(direction, degrees, diffs) -> MixedComplex:
+    """Assemble a complex from generator lists and formula dictionaries.
+
+    degrees: list (per degree) of (name, RingTag) pairs.
+    diffs: list of dicts, one per differential, mapping a source
+    generator name to {target name: coefficient}; diffs[i] connects the
+    degrees ``MixedComplex.ends(i)``.
+    """
+    gens = tuple(tuple(Generator(n, r) for n, r in deg) for deg in degrees)
+    shell = MixedComplex(direction, gens, ())
+    # name -> index; reversed so that a repeated name keeps its first index
+    index = [{g.name: i for i, g in reversed(list(enumerate(deg)))}
+             for deg in gens]
+    mats = []
+    for i, formula in enumerate(diffs):
+        src, tgt = shell.ends(i)
+        m = [[0] * len(gens[src]) for _ in range(len(gens[tgt]))]
+        for sname, image in formula.items():
+            c = index[src].get(sname)
+            if c is None and not image:
+                raise ComplexError(f"differential {i}: unknown generator "
+                                   f"{sname!r}")
+            for tname, coeff in image.items():
+                r = index[tgt].get(tname)
+                try:    # an unknown name indexes with None
+                    m[r][c] += coeff
+                except TypeError:
+                    raise ComplexError(
+                        f"differential {i}, {sname!r} -> {tname!r}: " +
+                        ("unknown generator" if None in (r, c) else
+                         f"coefficient {coeff!r} is not an integer")) from None
+        mats.append(IntMatrix.from_rows(m, len(gens[src])))
+    return MixedComplex(direction, gens, tuple(mats))
+
+
+def hom_dual(cx: MixedComplex, g: RingTag) -> MixedComplex:
+    """The cochain complex Hom(cx, Z) or Hom(cx, Z2).
+
+    Hom(Z2, Z) = 0, so two-torsion generators disappear over Z; over Z2
+    every generator survives with Z2 coefficients.  Each differential
+    becomes its transpose on the kept generators, mod 2 over Z2.  The
+    complex is checked first: one with a violation raises
+    ``ComplexError("not a complex: <violation>")``, since the transpose
+    of the kept generators alone may hide it.
+    """
+    _require_complex(cx)
+    if cx.direction is not Direction.HOMOLOGICAL:
+        raise ComplexError("hom_dual expects a homological complex")
+    kept = [[i for i, gen in enumerate(degree)
+             if g is RingTag.TWO_TORSION or gen.ring is RingTag.FREE]
+            for degree in cx.generators]
+    gens = tuple(tuple(Generator(degree[i].name, g) for i in keep)
+                 for degree, keep in zip(cx.generators, kept))
+    mats = tuple(m.submatrix(kept[tgt], kept[src]).transpose()
+                 for m, src, tgt in cx._diffs())
+    if g is RingTag.TWO_TORSION:
+        mats = tuple(m.mod2() for m in mats)
+    return MixedComplex(Direction.COHOMOLOGICAL, gens, mats)

@@ -209,7 +209,8 @@ def test_each_complex_object_is_checked_once(checked):
                 homology(c, deg).basis_cycles
                 express_class(c, deg, (0,) * c.n(deg))
         hom_dual(cx, RingTag.FREE)
-    assert [id(x) for x in checked] == [id(cx), id(dual)]
+    # hom_dual returns its dual checked
+    assert [id(x) for x in checked] == [id(cx)]
     # a refused complex is checked once too, however often it is refused
     bad, _ = _MALFORMED["Z2 into Z"]
     bad = MixedComplex(*bad)
