@@ -23,6 +23,11 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   ``same_ops`` in the output says whether all labels do, while the
   nonzeros read fall when a checkout skips work, and their sum per label
   is printed on a line of its own;
+- ``MixedComplex._factors``, the invariant factors of every differential
+  that the groups of a pure complex are read off, alone, on a torus and a
+  Klein bottle of about FACTOR_CELLS cells and on each one's Z2 dual,
+  built once per sample and taken on a new copy per call, with the
+  ``tracemalloc`` peak of one more call (``factors_peak_kib``);
 - ``make_complex`` and ``hom_dual(., Z2)`` of a torus, Klein bottle, RP2
   and genus-2 complex of about BUILD_CELLS cells each, the dual of a
   complex already checked, as the ``algebra`` workload takes it, with
@@ -63,7 +68,7 @@ results go under the ``--label`` of their checkout into the JSON file
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_30.json
+        --src src --label change --out BENCH_31.json
 """
 
 from __future__ import annotations
@@ -82,6 +87,7 @@ import sys
 import tempfile
 import time
 import timeit
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -91,6 +97,8 @@ CALLS = 3
 SIZES = (20, 40, 60)
 CELLS = 200
 BUILD_CELLS = (200, 800, 2000)
+FACTOR_CELLS = (2000, 8000)
+FACTOR_KINDS = ("torus", "klein")
 QUERIES = 200
 GRAPH_SIZES = (10**3, 10**4, 10**5)
 CLI_GRAPH_SIZES = (10**3, 10**5)
@@ -231,6 +239,36 @@ def bench_homology(gen, rng):
         _time_homology(row, "homology", cx, range(3))
         _time_homology(row, "homology_z2dual", dual, range(3))
         out.append(row)
+    return out
+
+
+def _peak_kib(fn):
+    """The ``tracemalloc`` peak of one call of fn, in KiB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def bench_factors(gen, rng):
+    from foldcob.complexes import RingTag, hom_dual
+
+    out = []
+    for cells in FACTOR_CELLS:
+        for kind in FACTOR_KINDS:
+            case = gen.surface_case(rng, kind, cells)
+            cx = _complex(case)
+            row = {"kind": kind, "cells": list(case.cells)}
+            for name, c in (("factors", cx),
+                            ("factors_z2dual",
+                             hom_dual(cx, RingTag.TWO_TORSION))):
+                # a new copy per call: a complex keeps its factors
+                factors = lambda: type(c)(*c)._factors
+                row[name + "_s"] = _timed(factors)
+                row[name + "_peak_kib"] = _peak_kib(factors)
+            out.append(row)
     return out
 
 
@@ -410,6 +448,7 @@ def sample(src):
     return {"matrices": bench_matrices(gen, rng),
             "homology": bench_homology(gen, rng),
             "builders": bench_builders(gen, random.Random(SEED)),
+            "factors": bench_factors(gen, random.Random(SEED)),
             "express": bench_express(gen, rng),
             "catalogs": bench_catalogs(),
             "surface": bench_surface(gen, random.Random(SEED)),

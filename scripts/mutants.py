@@ -65,6 +65,22 @@ MUTANTS = (
            "    return q + 1 if 2 * abs(r) > abs(p) else q\n",
            "    return q + 1 if 2 * abs(r) >= abs(p) else q\n",
            ("tests/test_intmat.py", "tests/test_snf_sparse.py")),
+    Mutant("unit-pass-takes-two-as-unit", "src/foldcob/intmat.py",
+           "            if (x == 1 or x == -1) and len(holders[c]) < least:\n",
+           "            if abs(x) in (1, 2) and len(holders[c]) < least:\n",
+           ("tests/test_unit_pass.py", "tests/test_rank_oracle.py")),
+    Mutant("unit-pass-drops-fill", "src/foldcob/intmat.py",
+           "                    rk[c] = q * y\n",
+           "                    continue\n",
+           ("tests/test_unit_pass.py", "tests/test_rank_oracle.py")),
+    Mutant("unit-pass-index-misses-fill", "src/foldcob/intmat.py",
+           "                    holders[c].add(k)\n",
+           "                    pass\n",
+           ("tests/test_unit_pass.py", "tests/test_rank_oracle.py")),
+    Mutant("unit-pass-on-tracked-reductions", "src/foldcob/intmat.py",
+           "    if not u and v is None:\n",
+           "    if not u:\n",
+           ("tests/test_unit_pass.py", "tests/test_snf_sparse.py")),
     Mutant("tally-i2-not-mod-2", "src/foldcob/reeb.py",
            "        counts[key] = ((counts[key] + n) % 2 if sign is None\n",
            "        counts[key] = ((counts[key] + n) if sign is None\n",

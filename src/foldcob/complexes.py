@@ -147,7 +147,8 @@ class MixedComplex(namedtuple("MixedComplex",
     def _factors(self):
         """{source degree: the nonzero invariant factors d1 | d2 | ... of
         the differential leaving it}, one diagonal-only Smith reduction
-        per differential, shared by the two degrees it joins."""
+        per differential, shared by the two degrees it joins; its unit
+        pass takes almost every pivot of a boundary matrix."""
         return {src: tuple(filter(None, _smith(_column_rows(d),
                                                d.cols).diagonal()))
                 for d, src, _ in self._diffs()}
@@ -184,8 +185,14 @@ def make_complex(direction, degrees, diffs) -> MixedComplex:
     ``ComplexError``, and one such as 1.5 raises the ValueError of
     ``IntMatrix.from_rows`` naming the entry, while 2.0, True or
     Fraction(3) read as ints and a zero coefficient gives no entry.
+    More differentials than the degrees can join raise
+    ``ComplexError("not a complex: <shape violation>")``, as ``homology``
+    does on such a ``MixedComplex``.
     """
     gens = tuple(tuple(Generator(n, r) for n, r in deg) for deg in degrees)
+    too_many = _count_violation(len(diffs), gens)
+    if too_many:
+        raise ComplexError(f"not a complex: {too_many}")
     shell = MixedComplex(direction, gens, ())
     # name -> index; reversed so that a repeated name keeps its first index
     index = [{g.name: i for i, g in reversed(list(enumerate(deg)))}
@@ -256,12 +263,21 @@ def _composite(second, first, c, acc, sign=1):
     return acc
 
 
+def _count_violation(n_diffs, gens) -> Violation | None:
+    """The violation of n_diffs differentials on the degrees gens when
+    some of them would have no target degree, else None."""
+    if n_diffs > max(len(gens) - 1, 0):
+        return Violation("shape", 0, f"{n_diffs} differentials for "
+                         f"{len(gens)} degrees")
+    return None
+
+
 def _shape_violations(cx: MixedComplex) -> list[Violation]:
     """A differential with no target degree, or else the differentials
     whose shape does not fit the degrees they join."""
-    if len(cx.differentials) > max(cx.top_degree, 0):
-        return [Violation("shape", 0, f"{len(cx.differentials)} "
-                          f"differentials for {len(cx.generators)} degrees")]
+    too_many = _count_violation(len(cx.differentials), cx.generators)
+    if too_many:
+        return [too_many]
     return [Violation("shape", src, f"differential is {d.rows}x{d.cols}, "
                       f"expected {cx.n(tgt)}x{cx.n(src)}")
             for d, src, tgt in cx._diffs()

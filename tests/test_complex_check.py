@@ -56,6 +56,27 @@ def test_too_many_differentials_is_a_shape_violation():
     assert set(_refusals(cx)) == {f"not a complex: {bad[0]}"}
 
 
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("degrees, diffs", [
+    ([[("a", RingTag.FREE)]], [{"a": {"a": 1}}]),
+    ([], [{}]),
+    ([[("a", RingTag.FREE)], []], [{}, {}]),
+    ([[("a", RingTag.FREE)], [("b", RingTag.TWO_TORSION)]], [{}] * 3),
+])
+def test_make_complex_refuses_too_many_differentials(direction, degrees,
+                                                     diffs):
+    # the violation a MixedComplex with those differentials reports
+    gens = tuple(tuple(Generator(*g) for g in deg) for deg in degrees)
+    want = validate_complex(MixedComplex(
+        direction, gens, (IntMatrix.zero(0, 0),) * len(diffs)))
+    assert [v.kind for v in want] == ["shape"]
+    assert want[0].detail == (f"{len(diffs)} differentials for "
+                              f"{len(degrees)} degrees")
+    with pytest.raises(ComplexError) as info:
+        make_complex(direction, degrees, diffs)
+    assert str(info.value) == f"not a complex: {want[0]}"
+
+
 _MALFORMED = {
     # 2x1 between two one-generator degrees: the dual reads one entry
     "wrong shape": (MixedComplex(Direction.HOMOLOGICAL, ((X,), (Y,)),
