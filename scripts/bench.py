@@ -32,6 +32,16 @@ Times, with ``timeit`` and seeded inputs from ``perfbench/gen.py``:
   and genus-2 complex of about BUILD_CELLS cells each, the dual of a
   complex already checked, as the ``algebra`` workload takes it, with
   the nonzeros of each complex's differentials;
+- the group path at mesh scale: on grid tori and Klein bottles of about
+  MESH_CELLS cells, built here in linear time (``gen.surface_case`` is
+  quadratic), ``make_complex``, the check (``validate_complex``), the
+  groups in every degree, ``hom_dual(., Z2)`` and the groups of the dual,
+  each timed once, with the ``tracemalloc`` peak of the whole path in one
+  more run (``path_peak_kib``); each size and kind runs in a child
+  process of its own (``--mesh-case``), under a wall-time limit of
+  MESH_LIMIT_S and an address-space cap (``RLIMIT_AS``) of
+  MESH_LIMIT_BYTES set on that child, and one that hits either is
+  recorded as ``over_limit``;
 - ``express_class`` on one reused Klein-bottle presentation;
 - for every catalog id in every degree, ``homology``, timed and counted
   as above, and
@@ -68,7 +78,15 @@ results go under the ``--label`` of their checkout into the JSON file
 To compare a parent checkout with this one:
 
     python3 scripts/bench.py --src OTHER_CHECKOUT/src --label parent \
-        --src src --label change --out BENCH_31.json
+        --src src --label change --out BENCH_32.json
+
+``--trajectory`` reads every ``BENCH_*.json`` at the root of the
+repository, in the order of their numbers, and prints per metric (each
+median timing ``X_s``, peak ``X_kib`` and ``max_bits`` of a row, named by
+its section and the fields that pick the row) the change/parent ratio of
+each file that has it for both labels, and their product, the chained
+ratio; a file that lacks a metric, or a flag such as ``same_ops``, is
+skipped for it.
 """
 
 from __future__ import annotations
@@ -81,6 +99,8 @@ import math
 import os
 import platform
 import random
+import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -100,6 +120,10 @@ BUILD_CELLS = (200, 800, 2000)
 FACTOR_CELLS = (2000, 8000)
 FACTOR_KINDS = ("torus", "klein")
 QUERIES = 200
+MESH_CELLS = (2000, 10**4, 3 * 10**4, 10**5)
+MESH_KINDS = ("torus", "klein")
+MESH_LIMIT_S = 300
+MESH_LIMIT_BYTES = 1536 * 2**20
 GRAPH_SIZES = (10**3, 10**4, 10**5)
 CLI_GRAPH_SIZES = (10**3, 10**5)
 CLI_COMMANDS = (["catalog", "list"], ["catalog", "export", "--id", "V32"],
@@ -290,6 +314,132 @@ def bench_builders(gen, rng):
     return out
 
 
+def _grid_case(rng, kind, cells):
+    """A torus or Klein bottle of about ``cells`` cells, in linear time:
+    an m x n grid of squares, each cut into two triangles along a random
+    diagonal, the second direction wrapping with a reflection on the
+    Klein bottle, as ``gen._grid`` builds its base grids.  The vertices
+    are relabelled at random and every generator list is shuffled, and
+    simplices are oriented by increasing label, as in
+    ``gen.surface_case``.  Returns make_complex's degrees and formulas
+    and (V, E, T)."""
+    from foldcob.complexes import RingTag
+
+    squares = max(16, round(cells / 6))    # V + E + T = 6 m n
+    m = max(4, round(math.sqrt(squares)))
+    n = max(4, -(-squares // m))
+    label = list(range(m * n))
+    rng.shuffle(label)
+
+    def vertex(i, j):
+        if j == n:
+            i, j = (-i if kind == "klein" else i), 0
+        return label[(i % m) * n + j]
+
+    tris = []
+    for i in range(m):
+        for j in range(n):
+            a, b = vertex(i, j), vertex(i + 1, j)
+            c, d = vertex(i + 1, j + 1), vertex(i, j + 1)
+            quad = ((a, b, c), (a, c, d)) if rng.random() < 0.5 else (
+                (a, b, d), (b, c, d))
+            tris += [tuple(sorted(t)) for t in quad]
+    edges = sorted({(t[i], t[j]) for t in tris
+                    for i, j in ((0, 1), (1, 2), (0, 2))})
+    vnames = {v: f"v{v}" for v in range(m * n)}
+    enames = {e: f"e{e[0]}_{e[1]}" for e in edges}
+    tnames = {t: f"t{t[0]}_{t[1]}_{t[2]}" for t in tris}
+    d1 = {enames[e]: {vnames[e[1]]: 1, vnames[e[0]]: -1} for e in edges}
+    d2 = {tnames[t]: {enames[(t[1], t[2])]: 1, enames[(t[0], t[2])]: -1,
+                      enames[(t[0], t[1])]: 1} for t in tris}
+    degrees = [[(name, RingTag.FREE) for name in names.values()]
+               for names in (vnames, enames, tnames)]
+    for deg in degrees:
+        rng.shuffle(deg)
+    return degrees, [d1, d2], (m * n, len(edges), len(tris))
+
+
+def mesh_case(kind, cells):
+    """The group path on one grid surface, in this process: its shape,
+    nonzeros, the seconds of each step and the ``tracemalloc`` peak of
+    one more run of the whole path, in KiB.  Exits with an error if a
+    group is wrong."""
+    import gen
+    from foldcob.complexes import (Direction, RingTag, hom_dual, homology,
+                                   make_complex, validate_complex)
+
+    degrees, diffs, shape = _grid_case(random.Random(f"{SEED} {kind}"),
+                                       kind, cells)
+
+    def path():
+        """make_complex, the check, the groups, hom_dual and the groups
+        of the dual, each timed: ({step_s: seconds}, groups, Z2 ranks)."""
+        homology.cache_clear()
+        times, start = {}, time.perf_counter()
+
+        def lap(name):
+            nonlocal start
+            now = time.perf_counter()
+            times[name + "_s"], start = now - start, now
+
+        cx = make_complex(Direction.HOMOLOGICAL, degrees, diffs)
+        lap("make_complex")
+        validate_complex(cx)
+        lap("check")
+        groups = tuple((g.free_rank, g.torsion)
+                       for g in (homology(cx, k) for k in range(3)))
+        lap("groups")
+        dual = hom_dual(cx, RingTag.TWO_TORSION)
+        lap("hom_dual")
+        ranks = tuple(len(homology(dual, k).torsion) for k in range(3))
+        lap("dual_groups")
+        nonzeros = sum(len(col) for d in cx.differentials
+                       for col in d.sparse_columns)
+        return times, groups, ranks, nonzeros
+
+    times, groups, ranks, nonzeros = path()
+    if (groups, ranks) != gen.SURFACE_HOMOLOGY[kind]:
+        sys.exit(f"error: {kind} of {sum(shape)} cells has groups {groups} "
+                 f"and Z2 ranks {ranks}")
+    gc.collect()
+    return {"cells": list(shape), "nonzeros": nonzeros, **times,
+            "path_peak_kib": _peak_kib(path)}
+
+
+def _cap_memory():
+    """In the child, before it runs: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (MESH_LIMIT_BYTES, MESH_LIMIT_BYTES))
+
+
+def bench_mesh(src):
+    """``mesh_case`` for each of MESH_CELLS and MESH_KINDS in a child
+    process of its own, under the time limit and the memory cap; a child
+    that hits either gives a row with ``over_limit``."""
+    out = []
+    for cells in MESH_CELLS:
+        for kind in MESH_KINDS:
+            row = {"kind": kind, "target_cells": cells}
+            try:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--mesh-case", kind,
+                     str(cells), "--src", str(src)], capture_output=True,
+                    text=True, timeout=MESH_LIMIT_S, preexec_fn=_cap_memory)
+            except subprocess.TimeoutExpired:
+                row["over_limit"] = f"time: over {MESH_LIMIT_S} s"
+            else:
+                if proc.returncode == 0:
+                    row.update(json.loads(proc.stdout))
+                elif "MemoryError" in proc.stderr:
+                    row["over_limit"] = (f"memory: over {MESH_LIMIT_BYTES} "
+                                         "bytes of address space")
+                else:
+                    sys.exit(f"error: mesh {kind} of {cells} cells: "
+                             f"{proc.stderr.strip()}")
+            out.append(row)
+    return out
+
+
 def bench_express(gen, rng):
     from foldcob.complexes import express_class, homology
 
@@ -449,6 +599,7 @@ def sample(src):
             "homology": bench_homology(gen, rng),
             "builders": bench_builders(gen, random.Random(SEED)),
             "factors": bench_factors(gen, random.Random(SEED)),
+            "mesh": bench_mesh(src),
             "express": bench_express(gen, rng),
             "catalogs": bench_catalogs(),
             "surface": bench_surface(gen, random.Random(SEED)),
@@ -485,12 +636,17 @@ def _outputs(run):
 def _merge(samples):
     """One result from samples of the same shape: each timing ``X_s``
     becomes the median ``X_s`` and the least ``X_min_s``; anything else is
-    the same in every sample and is kept as it is."""
+    the same in every sample and is kept as it is.  A row that went over
+    a limit in any sample is kept as the first such sample, with the
+    number of them."""
     first = samples[0]
     if isinstance(first, list):
         return [_merge(list(items)) for items in zip(*samples)]
     if not isinstance(first, dict):
         return first
+    over = [s for s in samples if "over_limit" in s]
+    if over:
+        return {**over[0], "over_limit_samples": len(over)}
     out = {}
     for key in first:
         column = [s[key] for s in samples]
@@ -500,6 +656,65 @@ def _merge(samples):
         else:
             out[key] = _merge(column)
     return out
+
+
+# the fields that name a row of a section, in the order they are shown
+_ROW_NAME = ("family", "rows", "cols", "kind", "id", "degree", "command",
+             "vertices", "target_cells", "cells")
+
+
+def _number(path):
+    """The number in a BENCH_N.json file name."""
+    return int(re.search(r"\d+", path.stem).group())
+
+
+def _metrics(run):
+    """{metric: value} of a run: each median timing ``X_s``, peak
+    ``X_kib`` and ``max_bits`` of each row, named section[field=value,
+    ...].X by the fields of _ROW_NAME that the row has."""
+    out = {}
+    for section, rows in run.items():
+        for row in [rows] if isinstance(rows, dict) else (
+                rows if isinstance(rows, list) else []):
+            if not isinstance(row, dict):
+                continue
+            # a list of cell counts (V, E, T) is named by its sum
+            name = ",".join(f"{k}={sum(v) if isinstance(v, list) else v}"
+                            for k in _ROW_NAME if (v := row.get(k)) is not None)
+            for key, x in row.items():
+                if (key.endswith(("_s", "_kib", "max_bits"))
+                        and not key.endswith("_min_s")
+                        and type(x) in (int, float)):
+                    out[f"{section}[{name}].{key}"] = x
+    return out
+
+
+def trajectory(paths):
+    """Print, per metric, the change/parent ratio of each file of paths
+    that has the metric under both labels, and their product; then, per
+    flag, its value in each file that has it."""
+    ratios, flags = {}, {}
+    for path in paths:
+        doc = json.loads(path.read_text())
+        runs = doc.get("runs", {})
+        if "parent" not in runs or "change" not in runs:
+            continue
+        number = _number(path)
+        parent, change = _metrics(runs["parent"]), _metrics(runs["change"])
+        for metric in parent.keys() & change.keys():
+            if parent[metric] > 0:
+                ratios.setdefault(metric, []).append(
+                    (number, change[metric] / parent[metric]))
+        for flag in ("same_ops", "same_outputs"):
+            if flag in doc:
+                flags.setdefault(flag, []).append((number, doc[flag]))
+    for metric, steps in sorted(ratios.items()):
+        chained = math.prod(r for _, r in steps)
+        print(f"{metric}  x{chained:.4g} over {len(steps)}: "
+              + " ".join(f"{n}:{r:.3g}" for n, r in sorted(steps)))
+    for flag, steps in flags.items():
+        print(f"{flag}: " + " ".join(f"{n}:{str(v).lower()}"
+                                     for n, v in sorted(steps)))
 
 
 def main(argv=None):
@@ -517,15 +732,29 @@ def main(argv=None):
     ap.add_argument("--once", action="store_true",
                     help="time each step once with the one --src and print "
                          "the sample as JSON")
+    ap.add_argument("--mesh-case", nargs=2, metavar=("KIND", "CELLS"),
+                    help="run the group path on one grid surface (torus or "
+                         "klein) with the one --src and print it as JSON")
+    ap.add_argument("--trajectory", action="store_true",
+                    help="print the chained change/parent ratio of every "
+                         "metric over the BENCH_*.json files")
     args = ap.parse_args(argv)
+    if args.trajectory:
+        trajectory(sorted(REPO.glob("BENCH_*.json"), key=_number))
+        return
     srcs = [p.resolve() for p in args.src or [REPO / "src"]]
     labels = args.label or (["change"] if len(srcs) == 1 else [])
     if len(labels) != len(srcs) or len(set(labels)) != len(labels):
         ap.error("give each --src a --label of its own")
-    if args.once:
+    if args.once or args.mesh_case:
         if len(srcs) != 1:
-            ap.error("--once times one --src")
-        print(json.dumps(sample(srcs[0])))
+            ap.error("--once and --mesh-case time one --src")
+        if args.mesh_case:
+            kind, cells = args.mesh_case
+            sys.path[:0] = [str(srcs[0]), str(REPO / "perfbench")]
+            print(json.dumps(mesh_case(kind, int(cells))))
+        else:
+            print(json.dumps(sample(srcs[0])))
         return
     if args.out is None:
         ap.error("name the JSON file to collect the runs in with --out")

@@ -81,6 +81,18 @@ MUTANTS = (
            "    if not u and v is None:\n",
            "    if not u:\n",
            ("tests/test_unit_pass.py", "tests/test_snf_sparse.py")),
+    Mutant("cache-key-drops-row-count", "src/foldcob/complexes.py",
+           "                     tuple((d.rows, d.cols, d.sparse_columns)\n",
+           "                     tuple((d.cols, d.sparse_columns)\n",
+           ("tests/test_lazy_rows.py",)),
+    Mutant("deferred-scatter-skips-last-column", "src/foldcob/intmat.py",
+           "        for j, col in enumerate(self.sparse_columns):\n",
+           "        for j, col in enumerate(self.sparse_columns[:-1]):\n",
+           ("tests/test_lazy_rows.py", "tests/test_sparse_builders.py")),
+    Mutant("deferred-eq-compares-shapes-only", "src/foldcob/intmat.py",
+           "        return self._values == other\n",
+           "        return self._values[:2] == tuple(other)[:2]\n",
+           ("tests/test_lazy_rows.py",)),
     Mutant("tally-i2-not-mod-2", "src/foldcob/reeb.py",
            "        counts[key] = ((counts[key] + n) % 2 if sign is None\n",
            "        counts[key] = ((counts[key] + n) if sign is None\n",

@@ -38,20 +38,23 @@ def _matrix_rows(m):
 
 
 def _load_json(path):
+    # a path with a line break or another unprintable character is shown
+    # as its repr, so that the error stays one line
+    shown = path if path.isprintable() else repr(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {shown}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {shown}: {exc}") from exc
     except RecursionError:
-        raise ValueError(f"cannot read {path}: JSON nested too deeply") from None
+        raise ValueError(f"cannot read {shown}: JSON nested too deeply") from None
     except ValueError:
         # int() refuses a number longer than sys.get_int_max_str_digits()
-        raise ValueError(f"cannot read {path}: JSON number with too many "
+        raise ValueError(f"cannot read {shown}: JSON number with too many "
                          "digits") from None
 
 

@@ -57,9 +57,11 @@ class MixedComplex(namedtuple("MixedComplex",
     dual with the check kept already, as it cannot fail.
 
     ``make_complex`` and ``hom_dual`` build each differential from its
-    nonzeros, with its ``sparse_columns`` kept; the check, homology and
-    ``express_class`` read only those, and the dense rows are there for
-    printing and for callers that read entries.
+    nonzeros (``IntMatrix._of_columns``), with its ``sparse_columns``
+    kept; the check, the groups, the hash ``homology``'s cache keys a
+    complex by and ``express_class`` read only those.  The dense rows are
+    built on their first read: by ``==``, ``hash`` (computed once, by
+    value, as a tuple hashes), printing and callers that read entries.
     """
 
     # no __slots__: the instance dict holds the cached hash, check and
@@ -76,6 +78,15 @@ class MixedComplex(namedtuple("MixedComplex",
     def _hash(self) -> int:
         # by value, as a tuple hashes, but computed once
         return tuple.__hash__(self)
+
+    @functools.cached_property
+    def _sparse_hash(self) -> int:
+        """The hash ``homology``'s cache keys this complex by, read off its
+        sparse data: the direction, the generators and each differential's
+        shape and ``sparse_columns``, so it reads no dense row."""
+        return hash((self.direction, self.generators,
+                     tuple((d.rows, d.cols, d.sparse_columns)
+                           for d in self.differentials)))
 
     @functools.cached_property
     def _violations(self) -> tuple[Violation, ...]:
@@ -408,27 +419,38 @@ def _check_degree(cx: MixedComplex, deg: int):
         raise ComplexError(f"degree {deg} out of range 0..{cx.top_degree}")
 
 
-def _lift(cx: MixedComplex, deg: int, x):
+def _lift(cx: MixedComplex, deg: int, x, dense=False):
     """The relation part y of the lift of x, or None if x is not a cycle.
 
     x is a chain given by its nonzero (index, entry) pairs, read once.
     x followed by y is the unique preimage of x in the kernel of
     [d_out | relations]: y, as {column of its relation: nonzero}, solves
-    d_out x + 2y = 0 on the torsion targets.  d_out x is summed into a
-    list by target row, whose nonzero rows decide: x is no cycle when one
-    is a free row or holds an odd entry.
+    d_out x + 2y = 0 on the torsion targets.  d_out x is summed by target
+    row, and its nonzero rows decide: x is no cycle when one is a free
+    row or holds an odd entry.  The sum goes into a list of d_out's rows
+    for a ``dense`` x, the cycle ``express_class`` reads, and into a dict
+    for a column of a differential, so that the check and the boundary
+    lifts cost the nonzeros they read and not the rows of d_out.
     """
     out = cx._out_slots[deg]
     if out is None:
         return {}
     d_out, slot = out
-    image = [0] * d_out.rows
     cols = d_out.sparse_columns
-    for j, c in x:
-        for i, a in cols[j]:
-            image[i] += c * a
+    if dense:
+        image = [0] * d_out.rows
+        for j, c in x:
+            for i, a in cols[j]:
+                image[i] += c * a
+        nonzero = compress(range(d_out.rows), image)
+    else:
+        image = {}
+        for j, c in x:
+            for i, a in cols[j]:
+                image[i] = image.get(i, 0) + c * a
+        nonzero = compress(image, image.values())
     y = {}
-    for i in compress(range(d_out.rows), image):
+    for i in nonzero:
         e = image[i]
         if i not in slot or e % 2:
             return None
@@ -449,7 +471,28 @@ def _boundary_lifts(cx: MixedComplex, deg: int) -> list:
     return [(*col, *_lift(cx, deg, col).items()) for col in b]
 
 
+class _ByNonzeros:
+    """A complex as ``homology``'s cache holds it: hashed by
+    ``MixedComplex._sparse_hash``, which reads no dense row, and equal to
+    another exactly when the complexes are."""
+
+    __slots__ = ("cx",)
+
+    def __init__(self, cx: MixedComplex):
+        self.cx = cx
+
+    def __hash__(self):
+        return self.cx._sparse_hash
+
+    def __eq__(self, other):
+        return self.cx is other.cx or self.cx == other.cx
+
+
 @functools.lru_cache(maxsize=64)
+def _cached_homology(key: _ByNonzeros, deg: int) -> AbelianGroupPresentation:
+    return _homology(key.cx, deg)
+
+
 def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     """Homology (or cohomology, per direction) at the given degree.
 
@@ -470,10 +513,21 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
     violation raises ``ComplexError("not a complex: <violation>")``, and
     a degree outside 0..K raises ``ComplexError`` too.
 
-    The 64 most recently used (complex, degree) pairs are memoized; keys
-    compare complexes by value, and the bound keeps a long run over many
-    distinct complexes from holding every presentation.
+    The 64 most recently used (complex, degree) pairs are memoized, and
+    the bound keeps a long run over many distinct complexes from holding
+    every presentation.  A key is hashed by ``MixedComplex._sparse_hash``,
+    read off the complex's sparse data, so a complex that meets no equal
+    one in the cache builds no dense row; a key whose hash matches is
+    compared by value, as ``==`` compares, so equal complexes share an
+    entry.
+    ``homology.__wrapped__`` is the computation without the cache, and
+    ``homology.cache_info`` and ``cache_clear`` are the cache's.
     """
+    return _cached_homology(_ByNonzeros(cx), deg)
+
+
+def _homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
+    """``homology`` without its cache."""
     _require_complex(cx)
     _check_degree(cx, deg)
     ring = cx._ring
@@ -490,6 +544,11 @@ def homology(cx: MixedComplex, deg: int) -> AbelianGroupPresentation:
         torsion = (2,) * (cx.n(deg) - sum(d % 2 for d in out + into))
     return AbelianGroupPresentation._lazy(
         free_rank, torsion, functools.partial(_presentation, cx, deg))
+
+
+homology.__wrapped__ = _homology
+homology.cache_info = _cached_homology.cache_info
+homology.cache_clear = _cached_homology.cache_clear
 
 
 def _presentation(cx: MixedComplex, deg: int) -> tuple:
@@ -588,7 +647,8 @@ def express_class(cx: MixedComplex, deg: int, cycle) -> tuple[int, ...]:
         cycle = _int_row(cycle)
     except ValueError as exc:
         raise ComplexError(f"vector {exc}") from None
-    y = _lift(cx, deg, zip(compress(range(n), cycle), filter(None, cycle)))
+    y = _lift(cx, deg, zip(compress(range(n), cycle), filter(None, cycle)),
+              dense=True)
     if y is None:
         raise NotACycleError("vector is not a cycle at this degree")
     lift = list(cycle)

@@ -6,9 +6,16 @@ point is used anywhere in the algebra core.
 ``IntMatrix`` is an immutable tuple of dense rows.  A differential of a
 complex is built from its nonzeros instead (``IntMatrix._of_columns``):
 its columns, as (row, nonzero) pairs, are kept as the ``sparse_columns``
-cache and scattered once into the dense rows, which it still holds and
-compares by, so it equals the matrix ``from_rows`` builds from those
-rows.  ``_column_rows`` reads its sparse rows off those columns in
+cache, and its dense rows are scattered from them only when something
+reads them (``_Columns``), so a complex's check, groups and dual, and
+the hash ``homology``'s cache keys it by, cost memory linear in the
+nonzeros.  It is the value of its dense rows all the same:
+- ``==`` compares (rows, cols, entries), ``hash`` is
+  ``hash((rows, cols, entries))`` and ``repr`` prints the dense rows,
+  so each of them builds the rows, once per matrix;
+- reading ``rows``, ``cols`` or ``sparse_columns`` builds none, and
+  pickling keeps the columns only.
+``_column_rows`` reads its sparse rows off those columns in
 O(nonzeros); ``_sparse_rows`` reads them off the dense rows, for the
 dense-born input of ``snf_with_inverses``.
 
@@ -80,8 +87,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @classmethod
     def _make(cls, iterable):
-        # ``_replace`` builds its copy here: check its shape too
-        return cls(*iterable)
+        # ``_replace`` builds its copy here: a matrix of dense rows, also
+        # from a ``_Columns``, with its shape checked too
+        return IntMatrix(*iterable)
 
     @staticmethod
     def from_rows(rows, cols=None):
@@ -96,14 +104,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def _of_columns(rows, columns):
         """The rows x len(columns) matrix whose columns are ``columns``, a
         tuple of tuples of (row, nonzero int) pairs in row order, as
-        ``sparse_columns`` gives them.  They are kept as that cache and
-        scattered once into the dense rows."""
-        zero = [0] * len(columns)
-        data = [zero.copy() for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col:
-                data[i][j] = x
-        m = IntMatrix(rows, len(columns), tuple(map(tuple, data)))
+        ``sparse_columns`` gives them.  They are kept as that cache, and
+        the dense rows are built from them on first read (``_Columns``)."""
+        m = tuple.__new__(_Columns, (rows, len(columns), None))
         m.__dict__["sparse_columns"] = columns
         return m
 
@@ -165,6 +168,56 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def submatrix(self, row_idx, col_idx):
         data = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
         return IntMatrix(len(row_idx), len(col_idx), data)
+
+
+class _Columns(IntMatrix):
+    """An ``IntMatrix`` built from its nonzeros by ``IntMatrix._of_columns``.
+
+    It holds its shape and ``sparse_columns``, and scatters them into the
+    dense rows once, on the first read of ``entries``, of a field by
+    iteration or index, or by ``==``, ``hash`` or ``repr``.  So it is
+    equal, hashed and printed as the matrix of its dense rows, and
+    pickling keeps the columns only.
+    """
+
+    # no __slots__: the instance dict holds the columns and, once built,
+    # the fields
+
+    @cached_property
+    def _values(self) -> tuple:
+        """(rows, cols, entries), the columns scattered once."""
+        rows, cols = self.rows, self.cols
+        zero = [0] * cols
+        data = [zero.copy() for _ in range(rows)]
+        for j, col in enumerate(self.sparse_columns):
+            for i, x in col:
+                data[i][j] = x
+        return rows, cols, tuple(map(tuple, data))
+
+    entries = property(lambda self: self._values[2])
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def __eq__(self, other):
+        # against another _Columns, its own __eq__ runs first and reads
+        # its _values, as it overrides tuple's
+        return self._values == other
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return repr(IntMatrix(*self._values))
+
+    def __reduce__(self):
+        return IntMatrix._of_columns, (self.rows, self.sparse_columns)
 
 
 def _int_row(row, i=None):

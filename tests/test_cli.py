@@ -353,6 +353,17 @@ def test_unreadable_file_exits_1(capsys, tmp_path):
     assert err.startswith(f"error: cannot read {path}: ")
 
 
+@pytest.mark.parametrize("name", ["no\nsuch.json", "no\x85such.json"])
+def test_a_path_with_a_line_break_gives_one_error_line(capsys, tmp_path,
+                                                       name):
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "cusp", "--in", path)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot read {path!r}: [Errno 2] No such file or " \
+                  f"directory: {path!r}\n"
+    assert len(err.splitlines()) == 1
+
+
 def test_selftest_runs_clean(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
