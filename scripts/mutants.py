@@ -90,8 +90,8 @@ MUTANTS = (
            "        for j, col in enumerate(self.sparse_columns[:-1]):\n",
            ("tests/test_lazy_rows.py", "tests/test_sparse_builders.py")),
     Mutant("deferred-eq-compares-shapes-only", "src/foldcob/intmat.py",
-           "        return self._values == other\n",
-           "        return self._values[:2] == tuple(other)[:2]\n",
+           "        return self._values == _value(other)\n",
+           "        return self._values[:2] == tuple(_value(other))[:2]\n",
            ("tests/test_lazy_rows.py",)),
     Mutant("tally-i2-not-mod-2", "src/foldcob/reeb.py",
            "        counts[key] = ((counts[key] + n) % 2 if sign is None\n",

@@ -12,7 +12,8 @@ the hash ``homology``'s cache keys it by, cost memory linear in the
 nonzeros.  It is the value of its dense rows all the same:
 - ``==`` compares (rows, cols, entries), ``hash`` is
   ``hash((rows, cols, entries))`` and ``repr`` prints the dense rows,
-  so each of them builds the rows, once per matrix;
+  so each of them builds the rows, once per matrix, as every other
+  tuple operation does (``_LazyRecord``);
 - reading ``rows``, ``cols`` or ``sparse_columns`` builds none, and
   pickling keeps the columns only.
 ``_column_rows`` reads its sparse rows off those columns in
@@ -170,18 +171,94 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return IntMatrix(len(row_idx), len(col_idx), data)
 
 
-class _Columns(IntMatrix):
+class _LazyRecord:
+    """The tuple operations of a namedtuple record whose tuple storage
+    holds placeholders until its fields are built.
+
+    Each operation reads ``_values``, the fields as a plain tuple, which
+    the subclass builds once, on first use: ``_Columns`` scatters its
+    dense rows, ``complexes.AbelianGroupPresentation`` builds its basis.
+    So the record iterates, indexes, compares, orders, concatenates,
+    hashes, prints (as its ``_plain`` namedtuple) and pickles as the value
+    of its fields.  It goes first among a record's bases, so that these
+    override tuple's.
+    """
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._values)
+
+    def __getitem__(self, i):
+        return self._values[i]
+
+    def __contains__(self, x):
+        return x in self._values
+
+    def count(self, x):
+        return self._values.count(x)
+
+    def index(self, x, *bounds):
+        return self._values.index(x, *bounds)
+
+    def __eq__(self, other):
+        return self._values == _value(other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __lt__(self, other):
+        return self._values < _value(other)
+
+    def __le__(self, other):
+        return self._values <= _value(other)
+
+    def __gt__(self, other):
+        return self._values > _value(other)
+
+    def __ge__(self, other):
+        return self._values >= _value(other)
+
+    def __add__(self, other):
+        return self._values + _value(other)
+
+    def __radd__(self, other):
+        return _value(other) + self._values
+
+    def __mul__(self, n):
+        return self._values * n
+
+    __rmul__ = __mul__
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return repr(self._plain(*self._values))
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+def _value(x):
+    """x's fields as a plain tuple if it is a lazy record, else x."""
+    return x._values if isinstance(x, _LazyRecord) else x
+
+
+class _Columns(_LazyRecord, IntMatrix):
     """An ``IntMatrix`` built from its nonzeros by ``IntMatrix._of_columns``.
 
     It holds its shape and ``sparse_columns``, and scatters them into the
-    dense rows once, on the first read of ``entries``, of a field by
-    iteration or index, or by ``==``, ``hash`` or ``repr``.  So it is
-    equal, hashed and printed as the matrix of its dense rows, and
-    pickling keeps the columns only.
+    dense rows once, on the first read of ``entries`` or of the fields
+    by any tuple operation (``_LazyRecord``): ``==``, ``hash`` and
+    ``repr`` among them.  So it is equal, hashed and printed as the
+    matrix of its dense rows, and pickling keeps the columns only.
     """
 
     # no __slots__: the instance dict holds the columns and, once built,
     # the fields
+
+    _plain = IntMatrix
 
     @cached_property
     def _values(self) -> tuple:
@@ -195,26 +272,6 @@ class _Columns(IntMatrix):
         return rows, cols, tuple(map(tuple, data))
 
     entries = property(lambda self: self._values[2])
-
-    def __iter__(self):
-        return iter(self._values)
-
-    def __getitem__(self, i):
-        return self._values[i]
-
-    def __eq__(self, other):
-        # against another _Columns, its own __eq__ runs first and reads
-        # its _values, as it overrides tuple's
-        return self._values == other
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self._values)
-
-    def __repr__(self):
-        return repr(IntMatrix(*self._values))
 
     def __reduce__(self):
         return IntMatrix._of_columns, (self.rows, self.sparse_columns)

@@ -108,6 +108,22 @@ def test_formula_is_the_inverse_of_make_complex(cid):
                         formulas) == cx
 
 
+@pytest.mark.parametrize("cid", list(CatalogId), ids=lambda c: c.value)
+def test_every_stored_nonzero_is_in_range(cid):
+    # each differential of a catalog and of its duals keeps its columns
+    # as (row, nonzero) pairs in row order, every row inside the matrix,
+    # read off the columns without building the dense rows
+    cx = catalog(cid)
+    duals = ([hom_dual(cx, g) for g in RingTag]
+             if cx.direction is Direction.HOMOLOGICAL else [])
+    for c in [cx, *duals]:
+        for d in c.differentials:
+            assert len(d.sparse_columns) == d.cols
+            for col in d.sparse_columns:
+                assert all(0 <= r < d.rows and x for r, x in col)
+                assert [r for r, _ in col] == sorted({r for r, _ in col})
+
+
 def test_every_catalog_validates():
     for cid in CatalogId:
         assert not validate_complex(catalog(cid))

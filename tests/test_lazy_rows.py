@@ -142,6 +142,23 @@ def test_the_cache_tells_apart_complexes_a_zero_row_apart(first):
     assert homology.cache_info().currsize == 2
 
 
+def test_an_equal_copy_finds_the_cached_entry_by_its_dense_rows():
+    # a lookup with the same object compares nothing; one with an equal
+    # copy compares the two complexes by value, which builds the dense
+    # rows of both, as ``homology``'s docstring says
+    homology.cache_clear()
+    first = catalog.__wrapped__(CatalogId.V32)
+    pres = homology(first, 1)
+    assert homology(first, 1) is pres
+    assert not any("_values" in vars(d) for d in first.differentials)
+    copy = catalog.__wrapped__(CatalogId.V32)
+    assert copy is not first
+    assert homology(copy, 1) is pres
+    assert homology.cache_info().currsize == 1
+    for cx in first, copy:
+        assert all("_values" in vars(d) for d in cx.differentials)
+
+
 def test_complexes_differing_in_one_entry_are_not_equal():
     def build(x):
         return make_complex(Direction.HOMOLOGICAL,
@@ -212,6 +229,30 @@ def test_a_matrix_from_its_nonzeros_is_the_dense_value(data):
         with pytest.raises(AttributeError):
             setattr(lazy, f, getattr(dense, f))
     assert lazy == dense
+    # the other tuple operations read the fields too, not the storage
+    assert dense.entries in _of_rows(*a) and nc in _of_rows(*a)
+    assert _of_rows(*a).count(nc) == dense.count(nc)
+    assert _of_rows(*a).index(dense.entries) == 2
+    assert _of_rows(*a) + () == dense + () == () + _of_rows(*a)
+    assert _of_rows(*a) + other == dense + IntMatrix(*other)
+    assert 2 * _of_rows(*a) == _of_rows(*a) * 2 == dense * 2
+    for x, y in [(_of_rows(*a), other), (dense, other), (_of_rows(*a),
+                                                         IntMatrix(*other))]:
+        assert (x < y) is (dense < IntMatrix(*other))
+        assert (x <= y) is (dense <= IntMatrix(*other))
+        assert (x > y) is (dense > IntMatrix(*other))
+        assert (x >= y) is (dense >= IntMatrix(*other))
+
+
+def test_a_presentation_built_on_demand_is_the_value_of_its_fields():
+    homology.cache_clear()
+    cx = catalog.__wrapped__(CatalogId.CO32)
+    plain = tuple(homology.__wrapped__(cx, 1))
+    for op in (lambda p: plain[2] in p, lambda p: p.count(plain[0]),
+               lambda p: p.index(plain[3]), lambda p: p + (),
+               lambda p: () + p, lambda p: p * 2, lambda p: p < plain,
+               lambda p: p >= plain, lambda p: p == plain):
+        assert op(homology.__wrapped__(cx, 1)) == op(plain)
 
 
 def test_replace_checks_the_shape_of_a_sparse_built_matrix():
